@@ -37,7 +37,7 @@ from .bounds import (
 )
 from .discretize import grid_from_config
 from .fieldgen import field_from_config
-from .limitlaw import factorize_covariance, limit_covariance
+from .limitlaw import DegenerateCovarianceError, factorize_covariance, limit_covariance
 from .mixing import MDependent, MixingProfile, profile_from_dict, profile_to_dict
 from .montecarlo import replicate_norms, summarize_norm_powers, write_norms_csv
 from .verify import verify_clt, verify_moment_bound, verify_superstrong
@@ -456,6 +456,9 @@ def main(argv=None) -> int:
         results, code, lines = _HANDLERS[args.command](config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except DegenerateCovarianceError as exc:
+        print(f"limit covariance error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

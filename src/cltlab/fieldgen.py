@@ -6,8 +6,9 @@ independent components and combined with basis functions evaluated on a grid.
 A driver's sample_component(rng, n) returns one component path of length n;
 sample_component(rng, n, k) returns k of them as a (k x n) array, drawing
 every time step of component 0 before component 1's. One replication draws
-all its components from one stream that way, so the same seed path gives the
-same sequence bit for bit in serial and parallel runs.
+all its components from one stream that way, rng.stream at its seed path (a
+golden-ratio jump of a SeedSequence-keyed PCG64DXSM), so the same seed path
+gives the same sequence bit for bit in serial and parallel runs.
 """
 
 from __future__ import annotations
@@ -293,9 +294,10 @@ def check_sequence(spec: FieldSpec, n: int, grid: GridSpace) -> int:
 def sample_sequence(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike) -> np.ndarray:
     """One replication of (xi_1, ..., xi_n) on the grid, as an (n x grid) matrix.
 
-    Every component and time step is drawn from the one stream at seed,
+    Every component and time step is drawn from the one stream rng.stream(seed),
     component after component, so two calls with the same seed path agree bit
-    for bit.
+    for bit; with seed = seed_path(root, rep) that is the stream
+    montecarlo.sn_block draws replication rep from.
     """
     n = check_sequence(spec, n, grid)
     x = spec.driver.sample_component(stream(seed), n, spec.n_components)

@@ -21,7 +21,8 @@ from scipy.linalg.lapack import dpstrf
 from .discretize import GridSpace, lp_norms
 from .fieldgen import FieldSpec, long_run_covariance
 from .montecarlo import pool_threads, project, run_chunked
-from .rng import SeedLike, stream
+# stream stays importable here for the tracing hooks in perfbench/tracing.py
+from .rng import SeedLike, stream, streams  # noqa: F401
 
 JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
@@ -123,7 +124,8 @@ def sample_limit_norms(
     """||S||_p over replications of the limit field S = factor z, z standard normal.
 
     Replication rep draws its r = factor.shape[1] normals from the stream
-    (seed, rep) (r = K for the model's limit law); with fixed chunking and
+    (seed, rep) (r = K for the model's limit law), taken from streams(seed,
+    lo, hi) with one hash of the seed per chunk; with fixed chunking and
     row-by-row projection and norms, serial and parallel runs agree bit for
     bit and a replication's norm does not depend on reps.
     """
@@ -137,8 +139,8 @@ def sample_limit_norms(
 
     def worker(lo: int, hi: int) -> np.ndarray:
         z = np.empty((hi - lo, r))
-        for i, rep in enumerate(range(lo, hi)):
-            z[i] = stream(seed, rep).standard_normal(r)
+        for i, rng in enumerate(streams(seed, lo, hi)):
+            z[i] = rng.standard_normal(r)
         return lp_norms(project(z, rows), p, grid)
 
     return np.concatenate(run_chunked(worker, reps, pool_threads(threads, r)))

@@ -2,11 +2,11 @@
 
 Every estimator here is built on one block primitive, sn_block, which returns
 S_n on the grid for a range of replications. Replication rep draws everything
-from its own stream (seed, rep), and each row of a block is computed and
-reduced on its own, so a replication's values depend neither on the thread
-count nor on how many replications run. Replications are partitioned into
-fixed-size chunks whose results are assembled in index order, so estimates
-are bit-identical for any thread count.
+from its own stream (seed, rep), taken from rng.streams, and each row of a
+block is computed and reduced on its own, so a replication's values depend
+neither on the thread count nor on how many replications run. Replications
+are partitioned into fixed-size chunks whose results are assembled in index
+order, so estimates are bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import numpy as np
 
 from .discretize import GridSpace, lp_norms
 from .fieldgen import FieldSpec, abs_normal_moment, check_sequence, sample_sequence
-from .rng import SeedLike, seed_path, stream
+# seed_path stays importable here for the tracing hooks in perfbench/tracing.py
+from .rng import SeedLike, seed_path, streams  # noqa: F401
 
 # 99% two-sided normal quantile, used for every confidence interval here.
 CI_Z = 2.5758293035489004
@@ -37,9 +38,12 @@ MIN_REPS = 100
 
 # Draws per replication below which a thread pool does not pay. Only the draws
 # run outside the GIL; shorter ones save less than the GIL handoffs between
-# threads cost (2-core machine: two threads ran at 0.45x serial speed with
-# 1025 draws per replication, 1.1-1.3x with 4100, 1.4-2x from 16k up).
-MIN_PARALLEL_DRAWS = 4096
+# threads cost. Two threads against serial on a 2-core machine: 0.82-0.95x at
+# 1024 draws per replication; at 2048, 1.4-1.7x for normal and MA(q) drivers
+# and 1.03x for AR(1); 1.3-1.9x for the three from 4096 up. Rademacher draws
+# are cheap enough that two threads stay slower (0.6x at 2048, 0.8x at 4096)
+# until about 16k draws (1.7x).
+MIN_PARALLEL_DRAWS = 2048
 
 
 @dataclass(frozen=True)
@@ -105,10 +109,11 @@ def project(coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def sn_block(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike, lo: int, hi: int) -> np.ndarray:
     """S_n on the grid for replications lo, ..., hi - 1, one row each.
 
-    Replication rep draws every component and time step from the one stream
-    at seed_path(seed, rep), in the order sample_sequence draws them, so its
-    row agrees with simulate_sn(spec, n, grid, seed_path(seed, rep)) to
-    rounding. Each component is summed over time (weighted under
+    Replication rep draws every component and time step from its stream in
+    streams(seed, lo, hi), which is stream(seed_path(seed, rep)), in the order
+    sample_sequence draws them, so its row agrees with
+    simulate_sn(spec, n, grid, seed_path(seed, rep)) to rounding. The seed is
+    hashed once per block. Each component is summed over time (weighted under
     scale_decay) before the basis projection, which runs once per block.
     """
     n = check_sequence(spec, n, grid)
@@ -116,8 +121,8 @@ def sn_block(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike, lo: int, 
     scales = spec.scales(n)
     draw = spec.driver.sample_component
     sums = np.empty((hi - lo, k))
-    for i, rep in enumerate(range(lo, hi)):
-        x = draw(stream(seed_path(seed, rep)), n, k)
+    for i, rng in enumerate(streams(seed, lo, hi)):
+        x = draw(rng, n, k)
         sums[i] = x.sum(axis=1) if scales is None else (x * scales).sum(axis=1)
     return project(sums / math.sqrt(n), spec.basis)
 

@@ -201,6 +201,23 @@ def _verdict(
     )
 
 
+def _schedule_estimates(
+    spec: FieldSpec,
+    s: float,
+    grid: GridSpace,
+    reps: int,
+    schedule: Sequence[int],
+    seed: SeedLike,
+    threads: int,
+) -> list:
+    """E||S_n||_s^s with its CI for each n of the schedule, from the streams seed_path(seed, 0, n)."""
+    s = float(s)
+    return [
+        summarize_norm_powers(replicate_norms(spec, n, s, grid, reps, seed_path(seed, 0, n), threads), n, s, s)
+        for n in schedule
+    ]
+
+
 def verify_moment_bound(
     spec: FieldSpec,
     s: int,
@@ -225,15 +242,7 @@ def verify_moment_bound(
     mode = _sup_mode(spec, sup_mode)
     integral = sup_v_norm(spec, grid, v, mode=mode, reps=sup_reps, seed=seed_path(seed, 1))
     theoretical = lp_moment_bound(profile, s, v, integral, tol)
-    estimates = [
-        summarize_norm_powers(
-            replicate_norms(spec, n, float(s), grid, reps, seed_path(seed, 0, n), threads),
-            n,
-            float(s),
-            float(s),
-        )
-        for n in schedule
-    ]
+    estimates = _schedule_estimates(spec, s, grid, reps, schedule, seed, threads)
     return _verdict(s, v, estimates, theoretical, method=f"mixing-series/{mode}")
 
 
@@ -264,15 +273,7 @@ def verify_superstrong(
         schedule = _schedule(n_schedule)
         mode = _sup_mode(spec, sup_mode)
         integral = sup_v_norm(spec, grid, s, mode=mode, reps=sup_reps, seed=seed_path(seed, 1))
-        estimates = [
-            summarize_norm_powers(
-                replicate_norms(spec, n, float(s), grid, reps, seed_path(seed, 0, n), threads),
-                n,
-                float(s),
-                float(s),
-            )
-            for n in schedule
-        ]
+        estimates = _schedule_estimates(spec, s, grid, reps, schedule, seed, threads)
         method = f"superstrong/{mode}"
     else:
         if sup_norm_integral is None:

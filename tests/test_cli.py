@@ -202,6 +202,21 @@ def test_verify_clt_covariance_csv_round_trip(tmp_path, capsys):
     assert code == 0
 
 
+def test_verify_clt_indefinite_covariance_csv_exits_2(tmp_path, capsys):
+    csv_path = tmp_path / "cov.csv"
+    csv_path.write_text("1,2\n2,1\n")
+    cfg = write_config(
+        tmp_path,
+        "clt.json",
+        {"field": FIELD, "grid": {"uniform": 2}, "p": 2.0, "reps": 200, "n_schedule": [16]},
+    )
+    code = main(["verify-clt", "--config", cfg, "--limit-covariance-csv", str(csv_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "indefinite" in err
+
+
 def test_verify_superstrong_command(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
