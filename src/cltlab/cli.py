@@ -5,6 +5,10 @@ verify-bounds, verify-superstrong (statistical audits), tail (Chebyshev
 tables). Every run writes a JSON report with the fully resolved configuration,
 a hash of it, and the seed that was used.
 
+Each subcommand declares its config keys once, in a table of Key rows. The
+parser, the unknown-key check, the flag merge, the type check and the defaults
+all come from that table; handlers read the checked, defaulted values.
+
 Exit codes: 0 success, 1 a statistical verification failed, 2 configuration or
 input error. Non-finite numbers are encoded in reports as the strings "inf",
 "-inf" and "nan" so the JSON stays standard.
@@ -19,7 +23,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -44,33 +48,112 @@ from .verify import verify_clt, verify_moment_bound, verify_superstrong
 
 
 class ConfigError(Exception):
-    """Bad configuration: unknown keys, missing values, malformed structures."""
+    """Bad configuration: unknown keys, missing values, wrong types, malformed structures."""
 
 
-_COMMON_KEYS = {"seed", "threads", "out"}
+def _int(name: str, value) -> int:
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name!r} must be an integer, not {value!r}")
+    return value
 
-_ALLOWED_KEYS: Dict[str, set] = {
-    "bounds": _COMMON_KEYS | {"s", "v", "profile", "sup_v_norm", "y", "beta_profile", "tol"},
-    "simulate": _COMMON_KEYS | {"field", "grid", "n", "p", "s", "reps", "csv"},
-    "verify-clt": _COMMON_KEYS
-    | {
-        "field",
-        "grid",
-        "p",
-        "reps",
-        "n_schedule",
-        "significance",
-        "limit_factor",
-        "limit_covariance_scale",
-        "limit_covariance_csv",
-        "dump_covariance",
-    },
-    "verify-bounds": _COMMON_KEYS
-    | {"field", "grid", "s", "v", "reps", "n_schedule", "tol", "sup_mode", "sup_reps"},
-    "verify-superstrong": _COMMON_KEYS
-    | {"field", "grid", "s", "reps", "n_schedule", "beta_profile", "tol", "sup_mode", "sup_reps"},
-    "tail": _COMMON_KEYS | {"w", "s", "y"},
-}
+
+def _float(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name!r} must be a number, not {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name!r} is too large for a float") from None
+
+
+def _instance(name: str, value, cls: type, what: str):
+    if not isinstance(value, cls):
+        raise ConfigError(f"{name!r} must be {what}, not {type(value).__name__}")
+    return value
+
+
+def _floats(name: str, value) -> list:
+    return [_float(name, v) for v in (value if isinstance(value, list) else [value])]
+
+
+def _ints(name: str, value) -> list:
+    return [_int(name, v) for v in _instance(name, value, list, "a list of integers")]
+
+
+def _profile(name: str, value, kind: str) -> MixingProfile:
+    """Profile from config or flag: an object, inline JSON, or the name "iid"."""
+    if isinstance(value, str) and value.strip().startswith("{"):
+        try:
+            value = json.loads(value)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{name} is not valid JSON: {exc}") from exc
+    if value == "iid":
+        return MixingProfile(kind=kind, decay=MDependent(0), label="iid")
+    if isinstance(value, dict):
+        return profile_from_dict(value)
+    raise ConfigError(f'{name} must be an object, inline JSON, or the shortcut "iid"')
+
+
+class Kind(NamedTuple):
+    """A config value type: its name, its check (raw JSON value -> typed value), its flag type."""
+
+    name: str
+    check: Callable
+    arg_type: Optional[Callable] = None
+    repeat: bool = False  # the flag may be given more than once, each adding a value
+
+
+INT = Kind("int", _int, int)
+FLOAT = Kind("float", _float, float)
+FLOATS = Kind("float or list of floats", _floats, float, repeat=True)
+INTS = Kind("list of ints", _ints)
+PATH = Kind("path", lambda name, value: _instance(name, value, str, "a path string"))
+TEXT = Kind("string", lambda name, value: _instance(name, value, str, "a string"))
+OBJECT = Kind("object", lambda name, value: _instance(name, value, dict, "an object"))
+GRID = Kind("object", lambda name, value: grid_from_config(value))
+ALPHA_PROFILE = Kind('"iid" or profile object', lambda name, value: _profile(name, value, "alpha"))
+BETA_PROFILE = Kind('"iid" or profile object', lambda name, value: _profile(name, value, "beta"))
+
+
+class Key(NamedTuple):
+    """One config key of a command; a flagged key is also set by --<key with dashes>."""
+
+    name: str
+    kind: Kind
+    help: str
+    required: bool = False
+    default: object = None
+    flag: bool = True
+
+    def describe(self) -> str:
+        """Kind and default (or "required"), for the help text."""
+        if self.required:
+            return f"{self.kind.name}, required"
+        return f"{self.kind.name}, default {self.default}" if self.default is not None else self.kind.name
+
+
+# seed, threads and out are always resolved into the config (out is dropped
+# from the report), so a report records the seed and threads it ran with
+COMMON_KEYS = (
+    Key("seed", INT, "root seed, noted in the report", default=0),
+    Key("threads", INT, "worker threads; 0 means all cores", default=1),
+    Key("out", PATH, "report path", default="report.json"),
+)
+_SAMPLED = (
+    Key("field", OBJECT, 'field: {"basis": ..., "driver": ...}', required=True, flag=False),
+    Key("grid", GRID, '{"uniform": N} or {"custom": {"points": [...], "weights": [...]}}',
+        required=True, flag=False),
+    Key("reps", INT, "replications per n", required=True),
+)
+_SCHEDULED = _SAMPLED + (Key("n_schedule", INTS, "sample sizes n, by default 16, 32, ..., 4096", flag=False),)
+_TOL = Key("tol", FLOAT, "series truncation tolerance", default=1e-10, flag=False)
+_AUDITED = _SCHEDULED + (
+    _TOL,
+    Key("sup_mode", TEXT, 'sup-norm method: "analytic" (Gaussian default) or "monte_carlo"', flag=False),
+    Key("sup_reps", INT, "replications of the Monte Carlo sup-norm", default=2000, flag=False),
+)
 
 
 def _sanitize(obj):
@@ -81,14 +164,8 @@ def _sanitize(obj):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        obj = float(obj)
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return _sanitize(obj.tolist())
     if isinstance(obj, float):
         if math.isnan(obj):
             return "nan"
@@ -115,66 +192,34 @@ def _load_config(path: Optional[str]) -> dict:
     return obj
 
 
-# Flag destination -> config key, per command. Flags override config values.
-_FLAG_KEYS: Dict[str, Tuple[str, ...]] = {
-    "bounds": ("s", "v", "profile", "beta_profile"),
-    "simulate": ("n", "p", "s", "reps", "csv"),
-    "verify-clt": (
-        "p",
-        "reps",
-        "significance",
-        "limit_covariance_scale",
-        "limit_covariance_csv",
-        "dump_covariance",
-    ),
-    "verify-bounds": ("s", "v", "reps"),
-    "verify-superstrong": ("s", "reps", "beta_profile"),
-    "tail": ("w", "s", "y"),
-}
-
-
-def _resolve(command: str, args: argparse.Namespace) -> Tuple[dict, bool]:
-    """Merge config file and flags (flags win); reject unknown config keys."""
+def _resolve(command: str, args: argparse.Namespace) -> Tuple[dict, argparse.Namespace, bool]:
+    """Merged config as given (reported and hashed), checked values, and whether the seed defaulted."""
+    keys = COMMON_KEYS + COMMANDS[command].keys
     config = _load_config(args.config)
-    allowed = _ALLOWED_KEYS[command]
-    unknown = set(config) - allowed
+    unknown = set(config) - {key.name for key in keys}
     if unknown:
         raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
-    for key in _FLAG_KEYS[command] + ("seed", "threads", "out"):
-        value = getattr(args, key.replace("-", "_"), None)
+    for key in keys:
+        value = getattr(args, key.name, None)
         if value is not None:
-            config[key] = value
+            config[key.name] = value
     seed_defaulted = "seed" not in config
-    config.setdefault("seed", 0)
-    config.setdefault("threads", 1)
-    config.setdefault("out", "report.json")
-    return config, seed_defaulted
+    for key in COMMON_KEYS:
+        config.setdefault(key.name, key.default)
+    values = {}
+    for key in keys:
+        if key.name in config:
+            values[key.name] = key.kind.check(key.name, config[key.name])
+        elif key.required:
+            raise ConfigError(f"{command} needs {key.name!r} (config key or flag)")
+        else:
+            values[key.name] = key.default
+    return config, argparse.Namespace(**values), seed_defaulted
 
 
-def _require(config: dict, command: str, key: str):
-    if key not in config:
-        raise ConfigError(f"{command} needs {key!r} (config key or flag)")
-    return config[key]
-
-
-def _profile_arg(value, kind: str) -> MixingProfile:
-    """Profile from config or flag: an object, inline JSON, or the name "iid"."""
-    if isinstance(value, str) and value.strip().startswith("{"):
-        try:
-            value = json.loads(value)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"profile is not valid JSON: {exc}") from exc
-    if value == "iid":
-        return MixingProfile(kind=kind, decay=MDependent(0), label="iid")
-    if isinstance(value, dict):
-        return profile_from_dict(value)
-    raise ConfigError('profile must be an object, inline JSON, or the shortcut "iid"')
-
-
-def _field_and_grid(config: dict, command: str):
-    grid = grid_from_config(_require(config, command, "grid"))
-    spec = field_from_config(_require(config, command, "field"), grid)
-    return spec, grid
+def _options(c: argparse.Namespace, *names: str) -> dict:
+    """Keyword arguments for a library call, read from the keys of the same names."""
+    return {name: getattr(c, name) for name in names}
 
 
 def _fmt(value: float) -> str:
@@ -188,29 +233,24 @@ def _table(rows) -> list:
     return [f"{label:<{width}} : {text}" for label, text in rows]
 
 
-def _cmd_bounds(config: dict) -> Tuple[dict, int, list]:
-    s_raw = float(_require(config, "bounds", "s"))
-    tol = float(config.get("tol", 1e-10))
-    s = effective_even_order(s_raw)
+def _cmd_bounds(c: argparse.Namespace) -> Tuple[dict, int, list]:
+    s = effective_even_order(c.s)
     a = utev_a(s)
     chk = ku_check(s)
     crossover = ku_crossover()
-    rows = [("order s", f"{s_raw:g}")]
-    if s != s_raw:
+    first = f" (first holds at s = {crossover})" if crossover is not None else ""
+    rows = [("order s", f"{c.s:g}")]
+    if s != c.s:
         rows.append(("effective order", f"{s} (odd or fractional order rounded up to even)"))
     rows += [
         ("a_s", str(a.value)),
         ("a_s^(1/s)", _fmt(a.root)),
         ("K_U", _fmt(ku_constant())),
         ("K_U * s", _fmt(chk.rhs)),
-        (
-            "a_s^(1/s) <= K_U*s",
-            f"{chk.holds}"
-            + (f" (first holds at s = {crossover})" if crossover is not None else ""),
-        ),
+        ("a_s^(1/s) <= K_U*s", f"{chk.holds}{first}"),
     ]
     results = {
-        "s": s_raw,
+        "s": c.s,
         "effective_s": s,
         "a_s": a.value,
         "a_s_root": a.root,
@@ -218,95 +258,70 @@ def _cmd_bounds(config: dict) -> Tuple[dict, int, list]:
         "ku_check": chk,
         "ku_crossover": crossover,
     }
-    profile_cfg = config.get("profile")
-    if profile_cfg is None and ("v" in config or "sup_v_norm" in config or "y" in config):
+    if c.profile is None and (c.v is not None or c.sup_v_norm is not None or c.y is not None):
         raise ConfigError("v / sup_v_norm / y need a mixing 'profile'")
-    if profile_cfg is not None:
-        profile = _profile_arg(profile_cfg, "alpha")
-        v = float(config.get("v", 2 * s))
-        report = z_value(profile, s, v, tol=tol)
+    if c.profile is not None:
+        v = c.v if c.v is not None else float(2 * s)
+        report = z_value(c.profile, s, v, tol=c.tol)
         rows.append((f"Z(s={s}, v={v:g})", _fmt(report.z_value)))
-        results["profile"] = profile_to_dict(profile)
+        results["profile"] = profile_to_dict(c.profile)
         results["z"] = report
-        if "sup_v_norm" in config:
-            integral = float(config["sup_v_norm"])
-            w = lp_moment_bound(profile, s, v, integral, tol)
+        if c.sup_v_norm is not None:
+            w = lp_moment_bound(c.profile, s, v, c.sup_v_norm, c.tol)
             rows.append(("W = Z^s * I^(s/v)", _fmt(w)))
-            results["sup_v_norm"] = integral
+            results["sup_v_norm"] = c.sup_v_norm
             results["w"] = w
-            if "y" in config:
-                ys = config["y"] if isinstance(config["y"], list) else [config["y"]]
-                tail = chebyshev_tail(w, s, [float(y) for y in ys])
+            if c.y is not None:
+                tail = chebyshev_tail(w, s, c.y)
                 for y, q in zip(tail.y, tail.q_bound):
                     rows.append((f"Q({y:g})", f"<= {_fmt(q)}"))
                 results["tail"] = tail
-        elif "y" in config:
+        elif c.y is not None:
             raise ConfigError("tail levels 'y' need 'sup_v_norm' to form W first")
-    if "beta_profile" in config:
-        beta = _profile_arg(config["beta_profile"], "beta")
-        k_n = nachapetyan_k(beta, max(s_raw, 2.0), tol)
-        rows.append((f"K_N(s={max(s_raw, 2.0):g})", _fmt(k_n)))
-        results["beta_profile"] = profile_to_dict(beta)
+    if c.beta_profile is not None:
+        k_n = nachapetyan_k(c.beta_profile, max(c.s, 2.0), c.tol)
+        rows.append((f"K_N(s={max(c.s, 2.0):g})", _fmt(k_n)))
+        results["beta_profile"] = profile_to_dict(c.beta_profile)
         results["k_n"] = k_n
     return results, 0, _table(rows)
 
 
-def _cmd_simulate(config: dict) -> Tuple[dict, int, list]:
-    spec, grid = _field_and_grid(config, "simulate")
-    n = int(_require(config, "simulate", "n"))
-    p = float(_require(config, "simulate", "p"))
-    reps = int(_require(config, "simulate", "reps"))
-    s = float(config.get("s", 2.0))
-    norms = replicate_norms(spec, n, p, grid, reps, config["seed"], config["threads"])
-    est = summarize_norm_powers(norms, n, s, p)
-    csv_path = config.get("csv")
-    if csv_path:
-        write_norms_csv(csv_path, n, p, s, norms)
+def _cmd_simulate(c: argparse.Namespace) -> Tuple[dict, int, list]:
+    spec = field_from_config(c.field, c.grid)
+    norms = replicate_norms(spec, c.n, c.p, c.grid, c.reps, c.seed, c.threads)
+    est = summarize_norm_powers(norms, c.n, c.s, c.p)
+    if c.csv:
+        write_norms_csv(c.csv, c.n, c.p, c.s, norms)
     lines = [
-        f"E||S_n||^s at n={n}, p={p:g}, s={s:g}: "
+        f"E||S_n||^s at n={c.n}, p={c.p:g}, s={c.s:g}: "
         f"{_fmt(est.value)} (99% CI {_fmt(est.ci_low)} .. {_fmt(est.ci_high)})"
     ]
     if est.heavy_tail:
         lines.append("warning: heavy-tailed replicate distribution, CI may be unreliable")
-    if csv_path:
-        lines.append(f"per-replication norms written to {csv_path}")
-    results = {"estimate": est, "csv": csv_path}
-    return results, 0, lines
+    if c.csv:
+        lines.append(f"per-replication norms written to {c.csv}")
+    return {"estimate": est, "csv": c.csv}, 0, lines
 
 
-def _cmd_verify_clt(config: dict) -> Tuple[dict, int, list]:
-    spec, grid = _field_and_grid(config, "verify-clt")
-    p = float(_require(config, "verify-clt", "p"))
-    reps = int(_require(config, "verify-clt", "reps"))
-    schedule = config.get("n_schedule")
-    base = limit_covariance(spec, grid)
+def _cmd_verify_clt(c: argparse.Namespace) -> Tuple[dict, int, list]:
+    spec = field_from_config(c.field, c.grid)
+    base = limit_covariance(spec, c.grid)
     limit_field = base
     injected = None
-    if "limit_covariance_csv" in config:
-        cov = np.loadtxt(config["limit_covariance_csv"], delimiter=",", ndmin=2)
+    if c.limit_covariance_csv is not None:
+        cov = np.loadtxt(c.limit_covariance_csv, delimiter=",", ndmin=2)
         limit_field = factorize_covariance(cov)
-        injected = f"csv:{config['limit_covariance_csv']}"
-    elif "limit_covariance_scale" in config:
-        scale = float(config["limit_covariance_scale"])
+        injected = f"csv:{c.limit_covariance_csv}"
+    elif c.limit_covariance_scale is not None:
+        scale = c.limit_covariance_scale
         if not (scale > 0.0 and math.isfinite(scale)):
             raise ConfigError("limit_covariance_scale must be positive and finite")
         limit_field = factorize_covariance(base.covariance * scale)
         injected = f"scale:{scale:g}"
-    dump = config.get("dump_covariance")
-    if dump:
-        np.savetxt(dump, base.covariance, delimiter=",")
-    summary = verify_clt(
-        spec,
-        schedule,
-        p,
-        grid,
-        reps,
-        significance=float(config.get("significance", 0.01)),
-        seed=config["seed"],
-        threads=config["threads"],
-        limit_factor=int(config.get("limit_factor", 4)),
-        limit_field=limit_field,
-    )
+    if c.dump_covariance:
+        np.savetxt(c.dump_covariance, base.covariance, delimiter=",")
+    options = _options(c, "significance", "seed", "threads", "limit_factor")
+    summary = verify_clt(spec, c.n_schedule, c.p, c.grid, c.reps, limit_field=limit_field, **options)
     lines = [
         f"n={v.n:>6}  ks={v.ks_stat:.6f}  p={v.p_value:.4f}  {'pass' if v.passed else 'FAIL'}"
         for v in summary.verdicts
@@ -314,7 +329,7 @@ def _cmd_verify_clt(config: dict) -> Tuple[dict, int, list]:
     if injected:
         lines.append(f"limit law overridden ({injected})")
     lines.append(f"converged: {summary.converged}")
-    results = {"summary": summary, "limit_override": injected, "dump_covariance": dump}
+    results = {"summary": summary, "limit_override": injected, "dump_covariance": c.dump_covariance}
     return results, 0 if summary.converged else 1, lines
 
 
@@ -331,70 +346,75 @@ def _bound_lines(verdict) -> list:
     return lines
 
 
-def _cmd_verify_bounds(config: dict) -> Tuple[dict, int, list]:
-    spec, grid = _field_and_grid(config, "verify-bounds")
-    verdict = verify_moment_bound(
-        spec,
-        int(_require(config, "verify-bounds", "s")),
-        float(_require(config, "verify-bounds", "v")),
-        grid,
-        int(_require(config, "verify-bounds", "reps")),
-        n_schedule=config.get("n_schedule"),
-        seed=config["seed"],
-        threads=config["threads"],
-        tol=float(config.get("tol", 1e-10)),
-        sup_mode=config.get("sup_mode"),
-        sup_reps=int(config.get("sup_reps", 2000)),
-    )
+_AUDIT_OPTIONS = ("n_schedule", "seed", "threads", "tol", "sup_mode", "sup_reps")
+
+
+def _cmd_verify_bounds(c: argparse.Namespace) -> Tuple[dict, int, list]:
+    spec = field_from_config(c.field, c.grid)
+    verdict = verify_moment_bound(spec, c.s, c.v, c.grid, c.reps, **_options(c, *_AUDIT_OPTIONS))
     return {"verdict": verdict}, 0 if verdict.satisfied else 1, _bound_lines(verdict)
 
 
-def _cmd_verify_superstrong(config: dict) -> Tuple[dict, int, list]:
-    spec, grid = _field_and_grid(config, "verify-superstrong")
-    beta = _profile_arg(_require(config, "verify-superstrong", "beta_profile"), "beta")
-    verdict = verify_superstrong(
-        spec,
-        beta,
-        float(_require(config, "verify-superstrong", "s")),
-        reps=int(_require(config, "verify-superstrong", "reps")),
-        grid=grid,
-        n_schedule=config.get("n_schedule"),
-        seed=config["seed"],
-        threads=config["threads"],
-        tol=float(config.get("tol", 1e-10)),
-        sup_mode=config.get("sup_mode"),
-        sup_reps=int(config.get("sup_reps", 2000)),
-    )
-    results = {"verdict": verdict, "beta_profile": profile_to_dict(beta)}
+def _cmd_verify_superstrong(c: argparse.Namespace) -> Tuple[dict, int, list]:
+    spec = field_from_config(c.field, c.grid)
+    options = _options(c, *_AUDIT_OPTIONS)
+    verdict = verify_superstrong(spec, c.beta_profile, c.s, reps=c.reps, grid=c.grid, **options)
+    results = {"verdict": verdict, "beta_profile": profile_to_dict(c.beta_profile)}
     return results, 0 if verdict.satisfied else 1, _bound_lines(verdict)
 
 
-def _cmd_tail(config: dict) -> Tuple[dict, int, list]:
-    w = float(_require(config, "tail", "w"))
-    s = float(_require(config, "tail", "s"))
-    ys = _require(config, "tail", "y")
-    if not isinstance(ys, list):
-        ys = [ys]
-    report = chebyshev_tail(w, s, [float(y) for y in ys])
+def _cmd_tail(c: argparse.Namespace) -> Tuple[dict, int, list]:
+    report = chebyshev_tail(c.w, c.s, c.y)
     lines = [f"Q({y:g}) <= {_fmt(q)}" for y, q in zip(report.y, report.q_bound)]
     return {"tail": report}, 0, lines
 
 
-_HANDLERS: Dict[str, Callable[[dict], Tuple[dict, int, list]]] = {
-    "bounds": _cmd_bounds,
-    "simulate": _cmd_simulate,
-    "verify-clt": _cmd_verify_clt,
-    "verify-bounds": _cmd_verify_bounds,
-    "verify-superstrong": _cmd_verify_superstrong,
-    "tail": _cmd_tail,
+class Command(NamedTuple):
+    """A subcommand: its help line, its handler, and its keys beyond COMMON_KEYS."""
+
+    help: str
+    run: Callable[[argparse.Namespace], Tuple[dict, int, list]]
+    keys: Tuple[Key, ...]
+
+
+COMMANDS: Dict[str, Command] = {
+    "bounds": Command("constant and bound tables", _cmd_bounds, (
+        Key("s", FLOAT, "moment order", required=True),
+        Key("v", FLOAT, "integrability order (> s); the default is twice the even order"),
+        Key("profile", ALPHA_PROFILE, 'alpha profile: "iid" or inline JSON'),
+        Key("sup_v_norm", FLOAT, "sup-norm integral I, to form W = Z^s * I^(s/v)", flag=False),
+        Key("y", FLOATS, "tail levels for Chebyshev bounds from W", flag=False),
+        Key("beta_profile", BETA_PROFILE, "beta profile, same forms"),
+        _TOL,
+    )),
+    "simulate": Command("Monte Carlo moment of the normalized sum norm", _cmd_simulate, _SAMPLED + (
+        Key("n", INT, "sample size", required=True),
+        Key("p", FLOAT, "L^p norm order", required=True),
+        Key("s", FLOAT, "moment power of the norm", default=2.0),
+        Key("csv", PATH, "write per-replication norms to this CSV"),
+    )),
+    "verify-clt": Command("KS-compare finite-n norms with the limit law", _cmd_verify_clt, _SCHEDULED + (
+        Key("p", FLOAT, "L^p norm order", required=True),
+        Key("significance", FLOAT, "KS test level, in (0, 0.1]", default=0.01),
+        Key("limit_factor", INT, "limit-law sample size as a multiple of reps", default=4, flag=False),
+        Key("limit_covariance_scale", FLOAT, "scale the limit covariance"),
+        Key("limit_covariance_csv", PATH, "load the limit covariance from CSV"),
+        Key("dump_covariance", PATH, "write the model covariance to CSV"),
+    )),
+    "verify-bounds": Command("audit the mixing-series moment bound", _cmd_verify_bounds, _AUDITED + (
+        Key("s", INT, "moment order", required=True),
+        Key("v", FLOAT, "integrability order (> s)", required=True),
+    )),
+    "verify-superstrong": Command("audit the superstrong-mixing bound", _cmd_verify_superstrong, _AUDITED + (
+        Key("s", FLOAT, "moment order", required=True),
+        Key("beta_profile", BETA_PROFILE, 'beta profile: "iid" or inline JSON', required=True),
+    )),
+    "tail": Command("Chebyshev tail table from a moment bound", _cmd_tail, (
+        Key("w", FLOAT, "moment bound W", required=True),
+        Key("s", FLOAT, "moment order", required=True),
+        Key("y", FLOATS, "tail level, repeatable", required=True),
+    )),
 }
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file; flags override its keys")
-    sub.add_argument("--seed", type=int, help="root seed (default 0, noted in the report)")
-    sub.add_argument("--threads", type=int, help="worker threads; 0 means all cores")
-    sub.add_argument("--out", help="report path (default report.json)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,45 +423,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Moment bounds and CLT verification for mixing random fields",
     )
     subs = parser.add_subparsers(dest="command")
-
-    sp = subs.add_parser("bounds", help="constant and bound tables")
-    sp.add_argument("--s", type=float, help="moment order")
-    sp.add_argument("--v", type=float, help="integrability order (> s)")
-    sp.add_argument("--profile", help='alpha profile: "iid" or inline JSON')
-    sp.add_argument("--beta-profile", dest="beta_profile", help="beta profile, same forms")
-
-    sp = subs.add_parser("simulate", help="Monte Carlo moment of the normalized sum norm")
-    sp.add_argument("--n", type=int)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--s", type=float, help="moment power of the norm (default 2)")
-    sp.add_argument("--reps", type=int)
-    sp.add_argument("--csv", help="write per-replication norms to this CSV")
-
-    sp = subs.add_parser("verify-clt", help="KS-compare finite-n norms with the limit law")
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--reps", type=int)
-    sp.add_argument("--significance", type=float)
-    sp.add_argument("--limit-covariance-scale", type=float, help="scale the limit covariance")
-    sp.add_argument("--limit-covariance-csv", help="load the limit covariance from CSV")
-    sp.add_argument("--dump-covariance", help="write the model covariance to CSV")
-
-    sp = subs.add_parser("verify-bounds", help="audit the mixing-series moment bound")
-    sp.add_argument("--s", type=int)
-    sp.add_argument("--v", type=float)
-    sp.add_argument("--reps", type=int)
-
-    sp = subs.add_parser("verify-superstrong", help="audit the superstrong-mixing bound")
-    sp.add_argument("--s", type=float)
-    sp.add_argument("--reps", type=int)
-    sp.add_argument("--beta-profile", dest="beta_profile", help='beta profile: "iid" or inline JSON')
-
-    sp = subs.add_parser("tail", help="Chebyshev tail table from a moment bound")
-    sp.add_argument("--w", type=float)
-    sp.add_argument("--s", type=float)
-    sp.add_argument("--y", type=float, action="append", help="tail level, repeatable")
-
-    for sub in subs.choices.values():
-        _add_common(sub)
+    for name, command in COMMANDS.items():
+        rows = [f"  {k.name:<15} {k.help} ({k.describe()})" for k in COMMON_KEYS + command.keys if not k.flag]
+        sp = subs.add_parser(
+            name,
+            help=command.help,
+            epilog="\n".join(["config-only keys (set them in the --config file):"] + rows) if rows else None,
+            formatter_class=argparse.RawDescriptionHelpFormatter,
+        )
+        for key in COMMON_KEYS + command.keys:
+            if key.flag:
+                sp.add_argument(
+                    "--" + key.name.replace("_", "-"),
+                    type=key.kind.arg_type,
+                    action="append" if key.kind.repeat else "store",
+                    help=f"{key.help} ({key.describe()})",
+                )
+        sp.add_argument("--config", help="JSON config file; flags override its keys")
     return parser
 
 
@@ -452,15 +450,12 @@ def main(argv=None) -> int:
         parser.print_help()
         return 2
     try:
-        config, seed_defaulted = _resolve(args.command, args)
-        results, code, lines = _HANDLERS[args.command](config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        config, values, seed_defaulted = _resolve(args.command, args)
+        results, code, lines = COMMANDS[args.command].run(values)
     except DegenerateCovarianceError as exc:
         print(f"limit covariance error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ConfigError, ValueError, KeyError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
@@ -480,9 +475,8 @@ def main(argv=None) -> int:
         "results": _sanitize(results),
         "exit_code": code,
     }
-    out = config["out"]
     try:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open(values.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, sort_keys=True, indent=2, allow_nan=False)
             fh.write("\n")
     except OSError as exc:
@@ -492,7 +486,7 @@ def main(argv=None) -> int:
         print(line)
     if seed_defaulted:
         print("seed defaulted to 0 (pass --seed or the 'seed' config key to vary)")
-    print(f"report written to {out}")
+    print(f"report written to {values.out}")
     return code
 
 

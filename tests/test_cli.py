@@ -2,10 +2,15 @@
 
 import csv
 import json
+import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
+from cltlab import cli, montecarlo
 from cltlab.cli import main
 
 FIELD = {"basis": {"name": "const", "k": 1}, "driver": {"iid_normal": {"sigma": 1.0, "k": 1}}}
@@ -256,3 +261,221 @@ def test_flag_overrides_config(tmp_path, capsys):
     assert rep["results"]["effective_s"] == 4
     assert rep["config"]["s"] == 4.0
     assert "out" not in rep["config"]
+
+
+# --- input checking: every key is checked against its command's table ------------------
+
+SIM = {"field": FIELD, "grid": {"uniform": 8}, "n": 32, "p": 2.0, "reps": 150}
+CLT = {"field": FIELD, "grid": {"uniform": 8}, "p": 2.0, "reps": 100, "n_schedule": [16]}
+VB = {"field": FIELD, "grid": {"uniform": 8}, "s": 2, "v": 4.0, "reps": 100, "n_schedule": [16]}
+TAIL = {"w": 1, "s": 2, "y": [10]}
+
+
+@pytest.fixture
+def paths_only(monkeypatch):
+    """Fail, rather than write, if the CLI opens a file descriptor number instead of a path."""
+
+    def guarded(file, *args, **kwargs):
+        if not isinstance(file, (str, bytes, os.PathLike)):
+            raise AssertionError(f"opened {file!r}, not a path")
+        return open(file, *args, **kwargs)
+
+    for module in (cli, montecarlo):
+        monkeypatch.setattr(module, "open", guarded, raising=False)
+
+
+def run_config(tmp_path, command, config, *flags):
+    argv = [command, "--config", write_config(tmp_path, "c.json", config)]
+    if "out" not in config:
+        argv += ["--out", str(tmp_path / "r.json")]
+    return main(argv + list(flags))
+
+
+def assert_one_config_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+
+
+PATH_CASES = {
+    "out": ("tail", TAIL),
+    "csv": ("simulate", SIM),
+    "dump_covariance": ("verify-clt", CLT),
+    "limit_covariance_csv": ("verify-clt", CLT),
+}
+
+
+@pytest.mark.parametrize("value", [1, True, ["a"]], ids=["int", "bool", "list"])
+@pytest.mark.parametrize("key", sorted(PATH_CASES))
+def test_path_keys_must_be_strings(tmp_path, capsys, paths_only, key, value):
+    command, base = PATH_CASES[key]
+    assert run_config(tmp_path, command, dict(base, **{key: value})) == 2
+    assert_one_config_error(capsys)
+
+
+INT_CASES = [
+    ("verify-bounds", VB, "s", 2.5),
+    ("verify-bounds", VB, "sup_reps", 500.5),
+    ("simulate", SIM, "reps", 150.9),
+    ("simulate", SIM, "n", 32.5),
+    ("simulate", SIM, "seed", 1.5),
+    ("simulate", SIM, "threads", True),
+    ("verify-clt", CLT, "limit_factor", 2.5),
+    ("verify-clt", CLT, "n_schedule", [16.5]),
+    ("bounds", {"s": 2}, "seed", "abc"),
+    ("bounds", {"s": 2}, "threads", "x"),
+    ("tail", TAIL, "seed", "abc"),
+    ("tail", TAIL, "threads", "x"),
+    ("tail", TAIL, "seed", None),
+]
+
+
+@pytest.mark.parametrize("command,base,key,value", INT_CASES, ids=[f"{c}-{k}-{v!r}" for c, _, k, v in INT_CASES])
+def test_integer_keys_reject_non_integral_values(tmp_path, capsys, command, base, key, value):
+    assert run_config(tmp_path, command, dict(base, **{key: value})) == 2
+    assert_one_config_error(capsys)
+
+
+def test_integral_floats_accepted_for_integer_keys(tmp_path, capsys):
+    assert run_config(tmp_path, "simulate", dict(SIM, n=32.0, reps=150.0, seed=5.0)) == 0
+    capsys.readouterr()
+    rep = load_report(str(tmp_path / "r.json"))
+    assert rep["results"]["estimate"]["reps"] == 150 and rep["results"]["estimate"]["n"] == 32
+    # the report records the config as given, not the coerced values
+    assert isinstance(rep["config"]["reps"], float) and isinstance(rep["seed"], float)
+
+
+def test_help_lists_config_only_keys(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify-bounds", "--help"])
+    text = capsys.readouterr().out
+    assert "config-only keys" in text
+    assert "sup_reps" in text and "int, default 2000" in text
+    assert "--sup-reps" not in text and "--reps" in text
+
+
+# --- fuzz: configs and flags drawn from each command's table ----------------------------
+
+ALPHA = {"kind": "alpha", "decay": {"m_dependent": {"m": 1}}}
+BETA = {"kind": "beta", "decay": {"m_dependent": {"m": 1}}}
+FIELDS = [
+    FIELD,
+    {"basis": {"name": "fourier", "k": 2}, "driver": {"iid_rademacher": {"k": 2}}},
+    {"basis": {"name": "const", "k": 1}, "driver": {"ma_q": {"weights": [1.0, 0.5], "sigma": 1.0, "k": 1}}},
+]
+ORDERS = {"verify-bounds": [2, 4], "simulate": [1.0, 2.0]}
+
+
+def valid_values(command, tmp_path):
+    """A strategy per key name for values the command should run with, at tiny sizes."""
+    return {
+        "seed": st.integers(0, 2**32),
+        "threads": st.sampled_from([0, 1, 2]),
+        "out": st.just(str(tmp_path / "report.json")),
+        "field": st.sampled_from(FIELDS),
+        "grid": st.sampled_from([{"uniform": 4}, {"uniform": 8}]),
+        "reps": st.integers(100, 150),
+        "n": st.integers(1, 32),
+        "n_schedule": st.lists(st.integers(1, 32), min_size=1, max_size=2),
+        "p": st.sampled_from([1.0, 2.0, 4.0]),
+        "s": st.sampled_from(ORDERS.get(command, [2.0, 3.0, 4.0])),
+        "v": st.sampled_from([8.0, 10.0]),
+        "w": st.floats(0.0, 10.0),
+        "y": st.one_of(st.floats(1.0, 100.0), st.lists(st.floats(1.0, 100.0), min_size=1, max_size=3)),
+        "tol": st.sampled_from([1e-10, 1e-6]),
+        "sup_mode": st.sampled_from(["analytic", "monte_carlo"]),
+        "sup_reps": st.integers(100, 150),
+        "sup_v_norm": st.floats(0.5, 2.0),
+        "significance": st.sampled_from([0.01, 0.05]),
+        "limit_factor": st.integers(1, 2),
+        "limit_covariance_scale": st.sampled_from([0.5, 1.0, 4.0]),
+        "limit_covariance_csv": st.sampled_from([str(tmp_path / "cov4.csv"), str(tmp_path / "missing.csv")]),
+        "dump_covariance": st.just(str(tmp_path / "dump.csv")),
+        "csv": st.just(str(tmp_path / "norms.csv")),
+        "profile": st.sampled_from(["iid", ALPHA, json.dumps(ALPHA)]),
+        "beta_profile": st.sampled_from(["iid", BETA, json.dumps(BETA)]),
+    }
+
+
+def invalid_values(key):
+    """Wrong types, non-finite and out-of-range numbers; never a string for a path (it would be written)."""
+    wrong = [None, True, [1], {"a": 1}, math.nan, math.inf, -math.inf, -1, 0, 2.5]
+    if key.kind is not cli.PATH:
+        wrong.append("x")
+    return st.sampled_from(wrong)
+
+
+def flag_args(key, value):
+    """argv giving value by the key's flag, or None where argparse could not parse it."""
+    flag = "--" + key.name.replace("_", "-")
+    args = []
+    for item in value if key.kind.repeat and isinstance(value, list) else [value]:
+        if isinstance(item, dict) and key.kind in (cli.ALPHA_PROFILE, cli.BETA_PROFILE):
+            item = json.dumps(item)
+        if item is None or isinstance(item, (bool, list, dict)):
+            return None
+        if key.kind.arg_type is None and not isinstance(item, str):
+            return None
+        text = repr(item) if isinstance(item, float) else str(item)
+        if key.kind.arg_type is not None:
+            try:
+                key.kind.arg_type(text)
+            except ValueError:
+                return None
+        args.append(f"{flag}={text}")
+    return args
+
+
+@st.composite
+def cli_inputs(draw, command, tmp_path):
+    keys = cli.COMMON_KEYS + cli.COMMANDS[command].keys
+    valid = valid_values(command, tmp_path)
+    # out and n_schedule are always given: the default report lands in the working
+    # directory and the default schedule runs up to n = 4096
+    kept = {"out", "n_schedule"}
+    values = {
+        key.name: draw(valid[key.name])
+        for key in keys
+        if key.required or key.name in kept or draw(st.booleans())
+    }
+    for key in draw(st.sets(st.sampled_from(keys), max_size=2)):
+        if key.name in kept or draw(st.booleans()):
+            values[key.name] = draw(invalid_values(key))
+        else:
+            values.pop(key.name, None)
+    config, flags = {}, []
+    for key in keys:
+        if key.name not in values:
+            continue
+        args = flag_args(key, values[key.name]) if key.flag else None
+        if args is not None and draw(st.booleans()):
+            flags += args
+        else:
+            config[key.name] = values[key.name]
+    if draw(st.integers(0, 9)) == 0:
+        config["bogus"] = 1
+    return config, flags
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_inputs_exit_cleanly(tmp_path, capsys, paths_only, command, data):
+    np.savetxt(tmp_path / "cov4.csv", np.eye(4), delimiter=",")
+    config, flags = data.draw(cli_inputs(command, tmp_path))
+    out = tmp_path / "report.json"
+    out.unlink(missing_ok=True)
+    argv = [command, "--config", write_config(tmp_path, "fuzz.json", config)] + flags
+    code = main(argv)
+    err = capsys.readouterr().err
+    event(f"exit {code}")
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.count("\n") == 1, err
+        return
+    results = load_report(out)["results"]
+    if code == 1:
+        if command == "verify-clt":
+            assert results["summary"]["converged"] is False
+        else:
+            assert results["verdict"]["satisfied"] is False

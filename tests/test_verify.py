@@ -171,6 +171,20 @@ def test_verify_superstrong_precomputed_samples(const_normal_field, grid16):
         verify_superstrong({32: norms}, beta, 2.0)
 
 
+def test_verdict_reads_largest_upper_ci_limit():
+    # n=16: mean 1.0 with no spread; n=32: lower mean 0.9 but a wide CI reaching above 1.1
+    tight = np.ones(100)
+    wide = np.sqrt(np.tile([0.0, 1.8], 50))
+    beta = MixingProfile("beta", Geometric(1.0, 0.5))
+    # K_N = 4, so the bound is 16 * sup_norm_integral = 1.05
+    verdict = verify_superstrong({16: tight, 32: wide}, beta, 2.0, sup_norm_integral=1.05 / 16.0)
+    assert_rel(verdict.theoretical, 1.05, 1e-12)
+    by_mean = max(verdict.estimates, key=lambda e: e.value)
+    assert by_mean.n == 16 and by_mean.ci_high <= verdict.theoretical
+    assert verdict.empirical.n == 32 and verdict.empirical.ci_high > verdict.theoretical
+    assert not verdict.satisfied and verdict.slack < 0.0
+
+
 def test_verify_moment_bound_ma_driver(grid16):
     spec = FieldSpec(basis=basis_matrix("const", 1, grid16), driver=MaQ(weights=(1.0, 1.0)))
     verdict = verify_moment_bound(spec, 4, 8.0, grid16, 300, n_schedule=[16, 64], seed=2)
