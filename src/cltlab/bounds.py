@@ -2,7 +2,7 @@
 
 Everything here is a closed-form constant or a certified series evaluation:
 the even-order combinatorial constant a_s (exact integer arithmetic), the
-mixing-weighted series constant Z (truncated with analytic tail remainders),
+mixing-weighted series constant Z (bracketed in closed form, upper end kept),
 the L^p(T)-integrated moment bound W, the superstrong-mixing constant K_N, and
 the Chebyshev tail table Q(y) <= min(1, W/y^s).
 """
@@ -12,32 +12,26 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .mixing import (
     ALPHA_CAP,
-    BETA_M_DEPENDENT_VALUE,
     Explicit,
     Geometric,
     MDependent,
     MixingProfile,
     Polynomial,
-    series_converges,
-    series_converges_beta,
     value_at,
 )
 
 MAX_ORDER = 64
 
-# Hard cap on summed tail terms. Convergent series that cannot meet the
-# relative tolerance within the cap (decay pathologically close to flat) are
-# returned as partial sum PLUS the analytic tail bound, which keeps the result
-# a valid upper bound; the remainder field reports the added bound.
-MAX_TERMS = 1 << 24
-
-_BLOCK = 4096
+# The most terms the series engine sums in one float64 array (16 MB): the
+# geometric tail's term budget, and the cap on explicit terms elsewhere.
+MAX_TERMS = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -137,152 +131,160 @@ def ku_crossover(s_max: int = MAX_ORDER) -> Optional[int]:
 
 @dataclass(frozen=True)
 class _SeriesSum:
+    """A bracket [total - remainder, total] on an exact series; terms counts explicit terms."""
+
     total: float
     terms: int
     remainder: float
-    diverged: bool = False
+
+    def __add__(self, other: "_SeriesSum") -> "_SeriesSum":
+        return _SeriesSum(self.total + other.total, self.terms + other.terms, self.remainder + other.remainder)
 
 
-def _sum_geometric_tail(
-    amp: float, q: float, d: float, r_start: int, tol: float, base: float, min_terms: int
-) -> _SeriesSum:
-    """Sum amp * q^r * (r+1)^d for r >= r_start with a ratio-bound tail remainder.
+_INF = _SeriesSum(math.inf, 0, math.inf)
 
-    Requires 0 < q < 1 and d >= 0. When d == 0 the tail is a plain geometric
-    series and is summed in closed form (remainder exactly 0).
+
+def _checked(total: float, terms: int, remainder: float) -> _SeriesSum:
+    """The bracket, or +inf (still an upper bound) where float range ran out."""
+    return _SeriesSum(float(total), terms, float(remainder)) if math.isfinite(total) else _INF
+
+
+def _enclose(x: Fraction) -> np.ndarray:
+    """Doubles [lo, hi] around an exact rational: a step each way from float(x), within half a step of it."""
+    return np.nextafter(float(x), [-np.inf, np.inf])
+
+
+def _fsum(values: np.ndarray) -> float:
+    """Correctly rounded sum; +inf where it leaves float range (math.fsum raises there)."""
+    try:
+        return math.fsum(values.tolist())
+    except OverflowError:
+        return math.inf
+
+
+def _power_sum(amp: float, j_hi: int, d: float) -> _SeriesSum:
+    """amp * sum_{j=2}^{j_hi} j^d for d >= 0, in one call up to MAX_TERMS terms.
+
+    Past that, x^d is nondecreasing, so its integrals over [1, j_hi] and
+    [2, j_hi + 1] bracket the sum.
     """
-    if amp == 0.0 or q == 0.0:
-        return _SeriesSum(total=0.0, terms=0, remainder=0.0)
+    n = j_hi - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n <= MAX_TERMS:
+            return _checked(amp * _fsum(np.arange(2.0, j_hi + 1.0) ** d), n, 0.0)
+        lo, hi = amp * (np.float64([j_hi, j_hi + 1.0]) ** (d + 1.0) - np.float64([1.0, 2.0]) ** (d + 1.0)) / (d + 1.0)
+        return _checked(hi, 0, hi - lo)
+
+
+def _zeta_tail(amp: float, p: Fraction, r0: int, min_terms: int) -> _SeriesSum:
+    """amp * sum_{r>=r0} (r+1)^-p = amp * zeta(p, r0 + 1); +inf unless p > 1.
+
+    n = max(32, min_terms) terms are summed, then the Euler-Maclaurin tail at
+    a = r0 + 1 + n through the B6 term. x^-p is completely monotone, so the
+    error has the sign of the first omitted (B8) term, negative, and is smaller
+    in size (DLMF 2.10.1). The sum falls as p grows, so the upper end is taken
+    below p and the lower end, less |B8 term|, above it.
+    """
+    p = _enclose(p)
+    if p[0] <= 1.0:
+        return _INF
+    n = min(max(32, min_terms), MAX_TERMS)
+    a = r0 + 1.0 + n
+    head = (r0 + 1.0 + np.arange(float(n)))[:, None] ** -p
+    f = a**-p
+    # |f'(a)|, |f'''(a)|, |f^(5)(a)|, |f^(7)(a)|, one factor at a time so an underflowed f stays 0
+    b2 = f * p / a
+    b4 = b2 * (p + 1.0) / a * (p + 2.0) / a
+    b6 = b4 * (p + 3.0) / a * (p + 4.0) / a
+    b8 = b6 * (p + 5.0) / a * (p + 6.0) / a
+    ends = np.array([_fsum(col) for col in head.T]) + a ** (1.0 - p) / (p - 1.0) + f / 2.0
+    ends += b2 / 12.0 - b4 / 720.0 + b6 / 30240.0
+    return _checked(amp * ends[0], n, amp * (ends[0] - ends[1] + b8[1] / 1209600.0))
+
+
+def _geometric_tail(amp: float, q_lo: float, q_hi: float, d: float, r0: int, tol: float, min_terms: int) -> _SeriesSum:
+    """amp * sum_{r>=r0} q^r (r+1)^d for q in [q_lo, q_hi] below 1 and d >= 0.
+
+    d = 0 has the closed form amp q^r0 / (1 - q). Otherwise the sum stops at
+    the first R, min_terms terms in, where kappa(R) = q ((R+3)/(R+2))^d < 1 and
+    T(R) = amp q^(R+1) (R+2)^d / (1 - kappa(R)), a bound on the tail after R,
+    is at most tol times the largest term; T falls with R, so R is bisected.
+    """
+    if q_hi >= 1.0:
+        return _INF
     if d == 0.0:
-        return _SeriesSum(total=amp * q**r_start / (1.0 - q), terms=0, remainder=0.0)
-    total = 0.0
-    r = r_start
-    terms = 0
-    while terms < MAX_TERMS:
-        block = np.arange(r, r + _BLOCK, dtype=float)
-        vals = amp * q**block * (block + 1.0) ** d
-        csum = np.cumsum(vals)
-        # tail bound after index R: next term / (1 - kappa), kappa a ratio bound
-        last = r + _BLOCK - 1
-        for idx in range(_BLOCK):
-            R = r + idx
-            if terms + idx + 1 < min_terms:
-                continue
-            kappa = q * ((R + 3.0) / (R + 2.0)) ** d
-            if kappa >= 1.0:
-                continue
-            nxt = amp * q ** (R + 1) * (R + 2.0) ** d
-            tail = nxt / (1.0 - kappa)
-            partial = base + total + csum[idx]
-            if tail <= tol * partial:
-                return _SeriesSum(total=total + float(csum[idx]), terms=terms + idx + 1, remainder=float(tail))
-        total += float(csum[-1])
-        terms += _BLOCK
-        r = last + 1
-    kappa = q * ((r + 2.0) / (r + 1.0)) ** d
-    tail = amp * q**r * (r + 1.0) ** d / max(1.0 - kappa, 1e-300)
-    return _SeriesSum(total=total + tail, terms=terms, remainder=float(tail))
+        hi = amp * q_hi**r0 / (1.0 - q_hi)
+        return _SeriesSum(hi, 0, hi - amp * q_lo**r0 / (1.0 - q_lo))
+    log_q = math.log(q_hi)
+
+    def log_tail(R: int) -> float:  # log(T(R) / amp); +inf while kappa(R) >= 1
+        log_kappa = log_q + d * math.log1p(1.0 / (R + 2.0))
+        if log_kappa >= 0.0:
+            return math.inf
+        return (R + 1) * log_q + d * math.log(R + 2.0) - math.log1p(-math.exp(log_kappa))
+
+    peak = max(r0, int(-d / log_q) - 1)
+    target = math.log(tol) + peak * log_q + d * math.log(peak + 1.0)
+    R, last = r0 + min(max(min_terms, 1), MAX_TERMS) - 1, r0 + MAX_TERMS - 1
+    while R < last:
+        mid = (R + last) // 2
+        if log_tail(mid) <= target:
+            last = mid
+        else:
+            R = mid + 1
+    r = r0 + np.arange(float(R - r0 + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = (r + 1.0) ** d
+        upper = amp * (_fsum(q_hi**r * weights) + np.exp(log_tail(R)))
+        return _checked(upper, r.size, upper - amp * _fsum(q_lo**r * weights))
 
 
-def _sum_polynomial_tail(
-    amp: float, p: float, r_start: int, tol: float, base: float, min_terms: int
-) -> _SeriesSum:
-    """Sum amp * (r+1)^(-p) for r >= r_start with an integral-test tail remainder.
+def _first_unclipped(profile: MixingProfile) -> int:
+    """First lag under the alpha cap (1 for beta), in closed form, then moved
+    one lag against value_at if rounding misplaced it."""
+    dec = profile.decay
+    if profile.kind == "beta" or value_at(profile, 1) < ALPHA_CAP:
+        return 1
+    # c rho^r <= 1/4 from r = log(4c) / log(1/rho); c (r+1)^-theta <= 1/4 from r = (4c)^(1/theta) - 1
+    x = math.log(4.0) + math.log(dec.c)
+    x = x / -math.log(dec.rho) if isinstance(dec, Geometric) else math.exp(min(x / dec.theta, 700.0)) - 1.0
+    r0 = max(2, math.ceil(x))
+    if value_at(profile, r0) == ALPHA_CAP:
+        return r0 + 1
+    return r0 - 1 if r0 > 2 and value_at(profile, r0 - 1) < ALPHA_CAP else r0
 
-    Requires p > 1; the tail after R is bounded by amp * (R+1)^(1-p) / (p-1).
+
+def _lag_series(profile: MixingProfile, e: Fraction, d: float, tol: float, min_terms: int) -> _SeriesSum:
+    """sum_{r>=1} value_at(profile, r)^e (r+1)^d for 0 < e <= 1 and d >= 0.
+
+    value_at applies the alpha cap and the beta m-dependent convention. Lags
+    1..r0-1 that the cap clips sum to cap^e sum_{j=2}^{r0} j^d; a misplaced
+    r0 only overstates the sum.
     """
-    if amp == 0.0:
-        return _SeriesSum(total=0.0, terms=0, remainder=0.0)
-    total = 0.0
-    r = r_start
-    terms = 0
-    while terms < MAX_TERMS:
-        block = np.arange(r, r + _BLOCK, dtype=float)
-        vals = amp * (block + 1.0) ** (-p)
-        csum = np.cumsum(vals)
-        for idx in range(_BLOCK):
-            R = r + idx
-            if terms + idx + 1 < min_terms:
-                continue
-            tail = amp * (R + 1.0) ** (1.0 - p) / (p - 1.0)
-            partial = base + total + csum[idx]
-            if tail <= tol * partial:
-                return _SeriesSum(total=total + float(csum[idx]), terms=terms + idx + 1, remainder=float(tail))
-        total += float(csum[-1])
-        terms += _BLOCK
-        r += _BLOCK
-    tail = amp * float(r) ** (1.0 - p) / (p - 1.0)
-    return _SeriesSum(total=total + tail, terms=terms, remainder=float(tail))
+    dec = profile.decay
+    if isinstance(dec, Explicit):
+        vals = np.array([value_at(profile, r) for r in range(1, len(dec.values) + 1)])
+        return _checked(_fsum(vals ** float(e) * np.arange(2.0, vals.size + 2.0) ** d), vals.size, 0.0)
+    if isinstance(dec, MDependent):
+        return _power_sum(value_at(profile, 1) ** float(e), dec.m + 1, d)
+    if dec.c == 0.0 or getattr(dec, "rho", 1.0) == 0.0:
+        return _SeriesSum(0.0, 0, 0.0)
+    r0 = _first_unclipped(profile)
+    head = _power_sum(ALPHA_CAP ** float(e), r0, d)
+    if isinstance(dec, Polynomial):
+        return head + _zeta_tail(dec.c ** float(e), Fraction(dec.theta) * e - Fraction(d), r0, min_terms)
+    q_lo = q_hi = dec.rho
+    if e != 1:  # rho^e falls as e grows, and pow is within an ulp
+        e_lo, e_hi = _enclose(e)
+        q_lo, q_hi = math.nextafter(dec.rho**e_hi, 0.0), math.nextafter(dec.rho**e_lo, 1.0)
+    return head + _geometric_tail(dec.c ** float(e), q_lo, q_hi, d, r0, tol, min_terms)
 
 
 def _alpha_series(profile: MixingProfile, s: int, v: float, tol: float, min_terms: int) -> _SeriesSum:
-    """sum_{r>=0} alpha(r)^(1-s/v) (r+1)^(s/2-1), with alpha(0) = 1/4.
-
-    The r = 0 term always uses the universal bound alpha(0) = 1/4, which is
-    what reduces the independent case to the closed form a_s (1/4)^(1-s/v).
-    """
-    e = 1.0 - s / v
-    d = s / 2.0 - 1.0
-    total = ALPHA_CAP**e
-    terms = 1
-    dec = profile.decay
-    if isinstance(dec, Explicit):
-        for r in range(1, len(dec.values) + 1):
-            total += value_at(profile, r) ** e * (r + 1.0) ** d
-        return _SeriesSum(total=total, terms=terms + len(dec.values), remainder=0.0)
-    if isinstance(dec, MDependent):
-        for r in range(1, dec.m + 1):
-            total += ALPHA_CAP**e * (r + 1.0) ** d
-        return _SeriesSum(total=total, terms=terms + dec.m, remainder=0.0)
-    if isinstance(dec, Geometric):
-        if dec.c == 0.0 or dec.rho == 0.0:
-            return _SeriesSum(total=total, terms=terms, remainder=0.0)
-        r0 = 1
-        while dec.c * dec.rho**r0 > ALPHA_CAP:
-            total += ALPHA_CAP**e * (r0 + 1.0) ** d
-            terms += 1
-            r0 += 1
-        tail = _sum_geometric_tail(dec.c**e, dec.rho**e, d, r0, tol, total, min_terms)
-        return _SeriesSum(total=total + tail.total, terms=terms + tail.terms, remainder=tail.remainder)
-    # polynomial decay
-    if not series_converges(profile, s, v):
-        return _SeriesSum(total=math.inf, terms=0, remainder=math.inf, diverged=True)
-    if dec.c == 0.0:
-        return _SeriesSum(total=total, terms=terms, remainder=0.0)
-    p = dec.theta * e - d
-    r0 = 1
-    while dec.c * (r0 + 1.0) ** (-dec.theta) > ALPHA_CAP:
-        total += ALPHA_CAP**e * (r0 + 1.0) ** d
-        terms += 1
-        r0 += 1
-    tail = _sum_polynomial_tail(dec.c**e, p, r0, tol, total, min_terms)
-    return _SeriesSum(total=total + tail.total, terms=terms + tail.terms, remainder=tail.remainder)
-
-
-def _beta_series(profile: MixingProfile, s: float, tol: float, min_terms: int) -> _SeriesSum:
-    """sum_{k>=1} beta(k) (k+1)^((s-2)/2); the sum starts at lag 1 and is empty
-    for 0-dependent profiles."""
-    d = (s - 2.0) / 2.0
-    dec = profile.decay
-    if isinstance(dec, Explicit):
-        total = 0.0
-        for k in range(1, len(dec.values) + 1):
-            total += dec.values[k - 1] * (k + 1.0) ** d
-        return _SeriesSum(total=total, terms=len(dec.values), remainder=0.0)
-    if isinstance(dec, MDependent):
-        total = 0.0
-        for k in range(1, dec.m + 1):
-            total += BETA_M_DEPENDENT_VALUE * (k + 1.0) ** d
-        return _SeriesSum(total=total, terms=dec.m, remainder=0.0)
-    if isinstance(dec, Geometric):
-        if dec.c == 0.0 or dec.rho == 0.0:
-            return _SeriesSum(total=0.0, terms=0, remainder=0.0)
-        return _sum_geometric_tail(dec.c, dec.rho, d, 1, tol, 0.0, min_terms)
-    if not series_converges_beta(profile, s):
-        return _SeriesSum(total=math.inf, terms=0, remainder=math.inf, diverged=True)
-    if dec.c == 0.0:
-        return _SeriesSum(total=0.0, terms=0, remainder=0.0)
-    return _sum_polynomial_tail(dec.c, dec.theta - d, 1, tol, 0.0, min_terms)
+    """sum_{r>=0} alpha(r)^(1-s/v) (r+1)^(s/2-1) with alpha(0) = 1/4, the universal
+    bound that reduces the independent case to the closed form a_s (1/4)^(1-s/v)."""
+    e = 1 - Fraction(s) / Fraction(v) if math.isfinite(v) else Fraction(1)
+    return _SeriesSum(ALPHA_CAP ** float(e), 1, 0.0) + _lag_series(profile, e, s / 2.0 - 1.0, tol, min_terms)
 
 
 def z_value(
@@ -290,10 +292,10 @@ def z_value(
 ) -> BoundReport:
     """Mixing-series constant Z = (a_s * sum_r alpha^(1-s/v)(r) (r+1)^(s/2-1))^(1/s).
 
-    Returns a report fragment (y_value and bound unset). Divergent series give
-    z_value = +inf, never an exception. min_terms forces at least that many
-    summed tail terms before the tolerance stop, which exists so truncation
-    stability can be probed directly.
+    Returns a report fragment (y_value and bound unset). Z uses the upper end
+    of a certified bracket on the series: truncation_remainder is its width,
+    truncation_terms the summed terms, and min_terms a floor on those terms.
+    Divergent series give z_value = +inf, never an exception.
     """
     s = _require_even_order(s)
     if profile.kind != "alpha":
@@ -303,7 +305,7 @@ def z_value(
     if not (tol > 0.0):
         raise ValueError("tolerance must be positive")
     ssum = _alpha_series(profile, s, float(v), tol, int(min_terms))
-    z = math.inf if ssum.diverged else (float(utev_a(s).value) * ssum.total) ** (1.0 / s)
+    z = (float(utev_a(s).value) * ssum.total) ** (1.0 / s)
     return BoundReport(
         s=s,
         v=float(v),
@@ -401,26 +403,22 @@ def lp_moment_bound(
     if not (v > s):
         raise ValueError("requires v > s")
     ssum = _alpha_series(profile, s, float(v), tol, 0)
-    if ssum.diverged:
-        return math.inf
     return float(utev_a(s).value) * ssum.total * integral ** (s / float(v))
 
 
 def nachapetyan_k(profile: MixingProfile, s: float, tol: float = 1e-10, min_terms: int = 0) -> float:
     """Superstrong-mixing constant K_N = 2s * (sum_{k>=1} beta(k) (k+1)^((s-2)/2))^(1/s).
 
-    +inf when the series diverges; 0 when beta vanishes from lag 1 on.
+    Upper end of a certified bracket (see z_value); +inf if divergent, 0 if beta vanishes from lag 1.
     """
     if profile.kind != "beta":
         raise ValueError("nachapetyan_k needs a beta profile")
     s = float(s)
-    if not (s >= 2.0):
-        raise ValueError("requires s >= 2")
+    if not (2.0 <= s < math.inf):
+        raise ValueError("requires 2 <= s < inf")
     if not (tol > 0.0):
         raise ValueError("tolerance must be positive")
-    ssum = _beta_series(profile, s, tol, int(min_terms))
-    if ssum.diverged:
-        return math.inf
+    ssum = _lag_series(profile, Fraction(1), (s - 2.0) / 2.0, tol, int(min_terms))
     return 2.0 * s * ssum.total ** (1.0 / s)
 
 

@@ -455,7 +455,7 @@ def main(argv=None) -> int:
     except DegenerateCovarianceError as exc:
         print(f"limit covariance error: {exc}", file=sys.stderr)
         return 2
-    except (ConfigError, ValueError, KeyError, TypeError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from math import fsum
 from typing import Sequence
@@ -50,14 +51,41 @@ def custom_grid(points: Sequence[float], weights: Sequence[float]) -> GridSpace:
     return GridSpace(points=np.asarray(points, dtype=float), weights=np.asarray(weights, dtype=float))
 
 
+def is_real(value) -> bool:
+    """Whether a config value is a number within float range; a bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def check_numbers(where: str, params: dict, integers: tuple = (), lists: tuple = ()) -> None:
+    """Raise ValueError unless each value of params is a number: an integral one
+    for the keys in integers, a list of numbers for the keys in lists."""
+    for key, value in params.items():
+        if key in lists:
+            ok, kind = isinstance(value, (list, tuple)) and all(map(is_real, value)), "a list of numbers"
+        elif key in integers:
+            ok, kind = is_real(value) and float(value).is_integer(), "an integer"
+        else:
+            ok, kind = is_real(value), "a number"
+        if not ok:
+            raise ValueError(f"{where} {key!r} must be {kind}, not {value!r}")
+
+
 def grid_from_config(obj: object) -> GridSpace:
     """Build a grid from the JSON config form {"uniform": N} or {"custom": {...}}."""
     if isinstance(obj, dict) and set(obj) == {"uniform"}:
+        check_numbers("grid", obj, integers=("uniform",))
         return uniform_grid(obj["uniform"])
     if isinstance(obj, dict) and set(obj) == {"custom"}:
         inner = obj["custom"]
         if not isinstance(inner, dict) or set(inner) != {"points", "weights"}:
             raise ValueError('custom grid config must be {"custom": {"points": [...], "weights": [...]}}')
+        check_numbers("custom grid", inner, lists=("points", "weights"))
         return custom_grid(inner["points"], inner["weights"])
     raise ValueError('grid config must be {"uniform": N} or {"custom": {...}}')
 

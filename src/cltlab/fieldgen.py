@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.signal import lfilter
 
-from .discretize import GridSpace
+from .discretize import GridSpace, check_numbers, is_real
 from .rng import SeedLike, stream
 
 
@@ -112,14 +112,16 @@ class MaQ:
             raise ValueError("weights must be a nonempty finite 1-d sequence")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError("sigma must be finite and positive")
-        nrm = math.sqrt(fsum((w * w).tolist()))
+        # a power-of-two scale (exact) keeps the squares and sigma / norm in float range
+        scale = 2.0 ** (math.frexp(float(np.abs(w).max()))[1] - 1)
+        nrm = math.sqrt(fsum(((w / scale) ** 2).tolist()))
         if nrm == 0.0:
             raise ValueError("weights must not all be zero")
         if int(self.k) != self.k or self.k < 1:
             raise ValueError("component count k must be a positive integer")
         # skip the rescale when already normalized, so serialize/parse round trips exactly
-        if not math.isclose(nrm, self.sigma, rel_tol=1e-15, abs_tol=0.0):
-            w = w * (self.sigma / nrm)
+        if not math.isclose(nrm * scale, self.sigma, rel_tol=1e-15, abs_tol=0.0):
+            w = w / scale * (self.sigma / nrm)
         object.__setattr__(self, "weights", tuple(w.tolist()))
         object.__setattr__(self, "k", int(self.k))
 
@@ -346,6 +348,7 @@ def driver_from_dict(obj: dict) -> Driver:
     unknown = set(params) - allowed
     if unknown:
         raise ValueError(f"unknown {name} keys: {sorted(unknown)}")
+    check_numbers(name, params, integers=("k",), lists=("weights",))
     if name == "ma_q":
         if "weights" not in params:
             raise ValueError("ma_q needs weights")
@@ -364,11 +367,17 @@ def field_from_config(obj: dict, grid: GridSpace) -> FieldSpec:
         raise ValueError("field needs 'basis' and 'driver'")
     b = obj["basis"]
     if isinstance(b, dict) and set(b) <= {"name", "k"} and "name" in b:
+        check_numbers("basis", {"k": b.get("k", 1)}, integers=("k",))
         basis = basis_matrix(b["name"], b.get("k", 1), grid)
     elif isinstance(b, dict) and set(b) == {"rows"}:
-        basis = np.asarray(b["rows"], dtype=float)
+        rows = b["rows"]
+        if not isinstance(rows, list) or not all(isinstance(row, list) and all(map(is_real, row)) for row in rows):
+            raise ValueError("basis 'rows' must be a list of lists of numbers")
+        basis = np.asarray(rows, dtype=float)
     else:
         raise ValueError('basis must be {"name": ..., "k": ...} or {"rows": [[...], ...]}')
+    if obj.get("scale_decay") is not None:
+        check_numbers("field", {"scale_decay": obj["scale_decay"]})
     return FieldSpec(
         basis=basis,
         driver=driver_from_dict(obj["driver"]),

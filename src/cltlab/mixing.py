@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+from .discretize import check_numbers
+
 ALPHA_CAP = 0.25
 
 # In-range value for beta m-dependent profiles. Alpha has the universal cap
@@ -208,6 +210,7 @@ def profile_from_dict(obj: dict) -> MixingProfile:
     cls, keys = builders[name]
     if not isinstance(params, dict) or set(params) != keys:
         raise ValueError(f"decay class {name!r} needs exactly keys {sorted(keys)}")
+    check_numbers(f"decay class {name!r}", params, integers=("m",), lists=("values",))
     if name == "explicit":
         decay = Explicit(tuple(params["values"]))
     else:

@@ -2,13 +2,14 @@
 independent oracle computed with exact integers or mpmath, frozen inline."""
 
 import math
+import time
 import warnings
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cltlab import (
@@ -32,7 +33,7 @@ from cltlab import (
     with_y_value,
     z_value,
 )
-from cltlab.bounds import default_v_grid
+from cltlab.bounds import _lag_series, default_v_grid
 
 from conftest import assert_rel
 
@@ -279,3 +280,119 @@ def test_z_value_m_dependent_matches_finite_sum(s, m):
     total = 0.25**e * (1.0 + sum((r + 1.0) ** d for r in range(1, m + 1)))
     prof = MixingProfile("alpha", MDependent(m))
     assert_rel(z_value(prof, s, v).z_value, (utev_a(s).value * total) ** (1.0 / s), 1e-12)
+
+
+def exact_series(profile, s, v=None):
+    """sum_{r>=1} value(r)^e (r+1)^d at 40 digits, plus (1/4)^e at r = 0 for alpha.
+
+    e = 1 - s/v and d = s/2 - 1 for alpha, e = 1 and d = (s-2)/2 for beta. The
+    alpha cap clips lags 1..r0-1, a Hurwitz zeta difference at -d sums them;
+    the rest is a Hurwitz zeta (polynomial) or a polylogarithm (geometric).
+    """
+    with mpmath.workdps(40):
+        dec = profile.decay
+        alpha = profile.kind == "alpha"
+        e = 1 - mpmath.mpf(s) / mpmath.mpf(v) if alpha else mpmath.mpf(1)
+        d = (mpmath.mpf(s) - 2) / 2
+        cap, c = mpmath.mpf(1) / 4, mpmath.mpf(dec.c)
+        geometric = isinstance(dec, Geometric)
+        rho = mpmath.mpf(dec.rho) if geometric else None
+        theta = None if geometric else mpmath.mpf(dec.theta)
+
+        def value(r):
+            return c * rho**r if geometric else c * mpmath.mpf(r + 1) ** -theta
+
+        r0 = 1
+        if alpha and value(1) > cap:
+            x = mpmath.log(4 * c) / -mpmath.log(rho) if geometric else mpmath.power(4 * c, 1 / theta) - 1
+            r0 = max(2, int(mpmath.ceil(x)))
+            while value(r0) > cap:
+                r0 += 1
+            while r0 > 2 and value(r0 - 1) <= cap:
+                r0 -= 1
+        head = cap**e * (mpmath.zeta(-d, 2) - mpmath.zeta(-d, r0 + 1))
+        if geometric:
+            q = rho**e
+            tail = (mpmath.polylog(-d, q) - mpmath.fsum(q**j * mpmath.mpf(j) ** d for j in range(1, r0 + 1))) / q
+        else:
+            tail = mpmath.zeta(theta * e - d, r0 + 1)
+        return (cap**e if alpha else 0) + head + c**e * tail
+
+
+def assert_certified(value, exact, remainder):
+    """value is an upper bound on exact, and above it by at most the remainder, up to rounding."""
+    assert value >= exact * (1 - 1e-15)
+    assert value - exact <= remainder + 1e-15 * exact
+
+
+def assert_z_certified(profile, s, v):
+    rep = z_value(profile, s, v)
+    with mpmath.workdps(40):
+        a, total = utev_a(s).value, exact_series(profile, s, v)
+        exact = mpmath.root(a * total, s)
+        assert_certified(rep.z_value, exact, mpmath.root(a * (total + rep.truncation_remainder), s) - exact)
+
+
+def assert_k_certified(profile, s):
+    k_n = nachapetyan_k(profile, s)
+    remainder = _lag_series(profile, Fraction(1), (s - 2.0) / 2.0, 1e-10, 0).remainder
+    with mpmath.workdps(40):
+        total, inv_s = exact_series(profile, s), 1 / mpmath.mpf(s)
+        exact = 2 * s * total**inv_s
+        assert_certified(k_n, exact, 2 * s * (total + remainder) ** inv_s - exact)
+
+
+ORDERS = st.sampled_from([2, 4, 6])
+V_OVER_S = st.floats(min_value=1.05, max_value=4.0)
+AMPLITUDE = st.floats(min_value=-2.0, max_value=4.0).map(lambda x: 10.0**x)
+# tail exponents near 1, where the zeta tail is flattest, and beyond
+TAIL_EXPONENT = st.one_of(st.floats(min_value=1.000001, max_value=1.05), st.floats(min_value=1.05, max_value=3.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=ORDERS, v_over_s=V_OVER_S, c=AMPLITUDE, p=TAIL_EXPONENT)
+@example(s=4, v_over_s=1.05, c=1.0, p=1.000001)
+def test_z_value_polynomial_is_certified_upper_bound(s, v_over_s, c, p):
+    v = s * v_over_s
+    theta = (p + s / 2.0 - 1.0) / (1.0 - s / v)
+    assert_z_certified(MixingProfile("alpha", Polynomial(c=c, theta=theta)), s, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=ORDERS, v_over_s=V_OVER_S, c=AMPLITUDE, rho=st.floats(min_value=0.01, max_value=0.99))
+# q = rho^(1-s/v) near 1: a one-ulp error in q moves the sum by thousands of ulps
+@example(s=2, v_over_s=1.05, c=1.0, rho=0.75)
+@example(s=6, v_over_s=1.05, c=0.5, rho=0.98)
+def test_z_value_geometric_is_certified_upper_bound(s, v_over_s, c, rho):
+    assert_z_certified(MixingProfile("alpha", Geometric(c=c, rho=rho)), s, s * v_over_s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=st.floats(min_value=2.0, max_value=8.0), c=AMPLITUDE, p=TAIL_EXPONENT)
+def test_nachapetyan_k_polynomial_is_certified_upper_bound(s, c, p):
+    assert_k_certified(MixingProfile("beta", Polynomial(c=c, theta=p + (s - 2.0) / 2.0)), s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=st.floats(min_value=2.0, max_value=8.0), c=AMPLITUDE, rho=st.floats(min_value=0.01, max_value=0.99))
+def test_nachapetyan_k_geometric_is_certified_upper_bound(s, c, rho):
+    assert_k_certified(MixingProfile("beta", Geometric(c=c, rho=rho)), s)
+
+
+def test_z_value_clipped_head_in_closed_form():
+    # the cap clips lags 1 .. (4c)^(1/3) - 2, about 1.6e20 of them, summed without a loop
+    prof = MixingProfile("alpha", Polynomial(c=1e60, theta=3.0))
+    start = time.perf_counter()
+    rep = z_value(prof, 2, 4.0)
+    assert time.perf_counter() - start < 1.0
+    assert math.isfinite(rep.z_value)
+    with mpmath.workdps(40):
+        assert rep.z_value >= mpmath.sqrt(1008 * exact_series(prof, 2, 4.0)) * (1 - 1e-15)
+
+
+def test_series_past_float_range_is_inf_not_an_error():
+    # terms (k+1)^((s-2)/2) near 1e308 sum past float range; +inf is still an upper bound
+    for decay in (MDependent(1000), Geometric(c=1.0, rho=0.999)):
+        assert math.isinf(nachapetyan_k(MixingProfile("beta", decay), 207.34))
+    with pytest.raises(ValueError):
+        nachapetyan_k(MixingProfile("beta", MDependent(1)), math.inf)

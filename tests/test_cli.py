@@ -12,6 +12,9 @@ from hypothesis import strategies as st
 
 from cltlab import cli, montecarlo
 from cltlab.cli import main
+from cltlab.discretize import grid_from_config, uniform_grid
+from cltlab.fieldgen import driver_from_dict, field_from_config
+from cltlab.mixing import profile_from_dict
 
 FIELD = {"basis": {"name": "const", "k": 1}, "driver": {"iid_normal": {"sigma": 1.0, "k": 1}}}
 
@@ -351,6 +354,46 @@ def test_help_lists_config_only_keys(capsys):
     assert "config-only keys" in text
     assert "sup_reps" in text and "int, default 2000" in text
     assert "--sup-reps" not in text and "--reps" in text
+
+
+# wrong types inside nested config values: (config part, value)
+NESTED_CASES = [
+    ("driver", {"iid_normal": {"sigma": "a", "k": 1}}),
+    ("driver", {"ma_q": {"weights": 5}}),
+    ("driver", {"ar1": {"rho": 0.5, "k": math.inf}}),
+    ("driver", {"iid_rademacher": {"k": [1]}}),
+    ("profile", {"kind": "alpha", "decay": {"geometric": {"c": "a", "rho": 0.5}}}),
+    ("profile", {"kind": "alpha", "decay": {"explicit": {"values": 5}}}),
+    ("profile", {"kind": "alpha", "decay": {"m_dependent": {"m": [1]}}}),
+    ("profile", {"kind": "alpha", "decay": {"polynomial": {"c": 1.0, "theta": True}}}),
+    ("grid", {"uniform": 2.5}),
+    ("grid", {"custom": {"points": {"a": 1}, "weights": [1.0]}}),
+    ("field", {"basis": {"name": "const", "k": [1]}, "driver": FIELD["driver"]}),
+    ("field", {"basis": {"rows": {"a": 1}}, "driver": FIELD["driver"]}),
+    ("field", dict(FIELD, scale_decay="a")),
+]
+PARSERS = {
+    "driver": driver_from_dict,
+    "profile": profile_from_dict,
+    "grid": grid_from_config,
+    "field": lambda obj: field_from_config(obj, uniform_grid(8)),
+}
+
+
+@pytest.mark.parametrize("part, value", NESTED_CASES)
+def test_parsers_raise_value_error_on_nested_types(part, value):
+    with pytest.raises(ValueError):
+        PARSERS[part](value)
+
+
+@pytest.mark.parametrize("part, value", NESTED_CASES)
+def test_nested_types_exit_2_with_one_line(tmp_path, capsys, part, value):
+    if part == "profile":
+        command, config = "bounds", {"s": 2, "profile": value}
+    else:
+        command, config = "simulate", dict(SIM, **({"field": dict(FIELD, driver=value)} if part == "driver" else {part: value}))
+    assert run_config(tmp_path, command, config) == 2
+    assert_one_config_error(capsys)
 
 
 # --- fuzz: configs and flags drawn from each command's table ----------------------------

@@ -1,9 +1,12 @@
 """Drivers, bases and field sampling: moments, reproducibility, sup-norms."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cltlab import (
     Ar1,
@@ -234,15 +237,33 @@ def test_scale_decay_flags_experimental_and_scales_first_row():
         FieldSpec(basis=basis_matrix("const", 1, grid), driver=IidNormal(), scale_decay=-0.5)
 
 
-def test_driver_dict_round_trip():
-    drivers = [
-        IidNormal(sigma=1.5, k=2),
-        IidRademacher(k=1),
-        MaQ(weights=(1.0, 1.0), k=3),
-        Ar1(rho=0.4, sigma_innov=0.9),
-    ]
-    for d in drivers:
-        assert driver_from_dict(driver_to_dict(d)) == d
+SIGMA = st.floats(min_value=0.0, allow_infinity=False)
+COUNT = st.integers(min_value=1, max_value=16)
+DRIVERS = st.one_of(
+    st.builds(IidNormal, sigma=SIGMA, k=COUNT),
+    st.builds(IidRademacher, k=COUNT),
+    st.builds(
+        MaQ,
+        weights=st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=6).filter(any),
+        # MaQ stores its weights times sigma; near the float limits of sigma they underflow or overflow
+        sigma=st.floats(min_value=1e-300, max_value=1e300),
+        k=COUNT,
+    ),
+    st.builds(Ar1, rho=st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True), sigma_innov=SIGMA, k=COUNT),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(driver=DRIVERS)
+# squared weights that underflow, and sigma / norm that overflows
+@example(driver=MaQ(weights=(1e-160, 2e-160)))
+@example(driver=MaQ(weights=(5e-324,), sigma=4.0))
+def test_driver_dict_round_trip(driver):
+    # through JSON text too, as the command line reads it
+    assert driver_from_dict(json.loads(json.dumps(driver_to_dict(driver)))) == driver
+
+
+def test_driver_from_dict_rejects_bad_shapes():
     with pytest.raises(ValueError):
         driver_from_dict({"iid_normal": {"sigma": 1.0}, "ar1": {"rho": 0.1}})
     with pytest.raises(ValueError):

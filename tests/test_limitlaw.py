@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cltlab import (
     DegenerateCovarianceError,
@@ -102,6 +104,35 @@ def test_limit_norms_independent_of_reps_and_threads(grid16, monkeypatch):
 def test_indefinite_covariance_raises():
     with pytest.raises(DegenerateCovarianceError):
         factorize_covariance(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+
+ENTRIES = st.floats(min_value=-10.0, max_value=10.0)
+
+
+def matrices(draw, rows, cols):
+    return np.array(draw(st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), rank=st.integers(1, 6))
+def test_factorize_reproduces_psd_matrices(data, n, rank):
+    # A A^T is PSD, and singular when rank < n
+    a = matrices(data.draw, n, rank)
+    cov = a @ a.T
+    field = factorize_covariance(cov)
+    assert field.jitter in JITTERS and np.all(np.isfinite(field.factor))
+    target = cov + field.jitter * np.eye(n)
+    assert np.linalg.norm(field.factor @ field.factor.T - target) <= FACTOR_RTOL * np.linalg.norm(target)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6))
+def test_factorize_rejects_indefinite_matrices(data, n):
+    a = matrices(data.draw, n, n)
+    cov = (a + a.T) / 2.0
+    assume(np.linalg.eigvalsh(cov).min() < -1e-6 * np.abs(cov).max())
+    with pytest.raises(DegenerateCovarianceError):
+        factorize_covariance(cov)
 
 
 def test_zero_covariance_gives_zero_factor(grid16):

@@ -1,5 +1,6 @@
 """Decay profiles: values, symbolic convergence decisions, config round-trips."""
 
+import json
 import math
 
 import pytest
@@ -144,15 +145,21 @@ def test_profile_for_driver():
         profile_for_driver(object())
 
 
-def test_profile_dict_round_trip():
-    profiles = [
-        MixingProfile("alpha", MDependent(2), label="x"),
-        MixingProfile("alpha", Geometric(0.7, 0.3)),
-        MixingProfile("beta", Polynomial(1.0, 2.0)),
-        MixingProfile("beta", Explicit((0.5, 0.25))),
-    ]
-    for prof in profiles:
-        assert profile_from_dict(profile_to_dict(prof)) == prof
+FINITE = st.floats(min_value=0.0, allow_infinity=False)
+DECAYS = st.one_of(
+    st.lists(FINITE, max_size=6).map(lambda vals: Explicit(tuple(sorted(vals, reverse=True)))),
+    st.builds(Geometric, c=FINITE, rho=st.floats(min_value=0.0, max_value=1.0, exclude_max=True)),
+    st.builds(Polynomial, c=FINITE, theta=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)),
+    st.builds(MDependent, m=st.integers(min_value=0, max_value=10**300)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(kind=st.sampled_from(["alpha", "beta"]), decay=DECAYS, label=st.text(max_size=5))
+def test_profile_dict_round_trip(kind, decay, label):
+    # through JSON text too, as the command line reads it
+    prof = MixingProfile(kind, decay, label=label)
+    assert profile_from_dict(json.loads(json.dumps(profile_to_dict(prof)))) == prof
 
 
 def test_profile_from_dict_rejects_bad_shapes():
