@@ -209,6 +209,8 @@ def _geometric_tail(amp: float, q_lo: float, q_hi: float, d: float, r0: int, tol
     the first R, min_terms terms in, where kappa(R) = q ((R+3)/(R+2))^d < 1 and
     T(R) = amp q^(R+1) (R+2)^d / (1 - kappa(R)), a bound on the tail after R,
     is at most tol times the largest term; T falls with R, so R is bisected.
+    Where the terms still grow at the end of the MAX_TERMS budget (kappa >= 1
+    there), the whole tail is bracketed by integrals instead, with no array.
     """
     if q_hi >= 1.0:
         return _INF
@@ -223,9 +225,11 @@ def _geometric_tail(amp: float, q_lo: float, q_hi: float, d: float, r0: int, tol
             return math.inf
         return (R + 1) * log_q + d * math.log(R + 2.0) - math.log1p(-math.exp(log_kappa))
 
+    R, last = r0 + min(max(min_terms, 1), MAX_TERMS) - 1, r0 + MAX_TERMS - 1
+    if math.isinf(log_tail(last)):
+        return _geometric_integral_tail(amp, q_lo, q_hi, d, r0)
     peak = max(r0, int(-d / log_q) - 1)
     target = math.log(tol) + peak * log_q + d * math.log(peak + 1.0)
-    R, last = r0 + min(max(min_terms, 1), MAX_TERMS) - 1, r0 + MAX_TERMS - 1
     while R < last:
         mid = (R + last) // 2
         if log_tail(mid) <= target:
@@ -237,6 +241,34 @@ def _geometric_tail(amp: float, q_lo: float, q_hi: float, d: float, r0: int, tol
         weights = (r + 1.0) ** d
         upper = amp * (_fsum(q_hi**r * weights) + np.exp(log_tail(R)))
         return _checked(upper, r.size, upper - amp * _fsum(q_lo**r * weights))
+
+
+def _geometric_integral_tail(amp: float, q_lo: float, q_hi: float, d: float, r0: int) -> _SeriesSum:
+    """amp * sum_{r>=r0} q^r (r+1)^d for d > 0, when the terms peak past r0 + 1.
+
+    With u = r + 1 and lam = -log q the terms are g(u) / q, g(u) = exp(-lam u) u^d,
+    which rises to its peak g* at u* = d / lam and then falls. Each term lies
+    between the integrals of g over the unit steps on either side of it, but
+    for at most two terms next to the peak, so with a = r0 + 1 <= u*
+        int_0^inf g - a g(a) - g*  <=  sum_{u>=a} g(u)  <=  int_0^inf g + 2 g*,
+    where int_0^inf g = Gamma(d+1) / lam^(d+1) and a g(a) bounds int_0^a g.
+    The logarithms are padded by a relative 1e-12 (d + 1) for their rounding.
+    """
+    pad = 1e-12 * (d + 1.0)
+
+    def ends(q: float) -> tuple:
+        log_q = math.log(q)
+        whole = math.lgamma(d + 1.0) - (d + 1.0) * math.log(-log_q) - log_q
+        peak = d * (math.log(d / -log_q) - 1.0) - log_q
+        head = math.log(r0 + 1.0) * (d + 1.0) + r0 * log_q
+        with np.errstate(over="ignore"):
+            return np.exp([whole, peak, head])
+
+    whole, peak, _ = ends(q_hi)
+    upper = amp * (whole + 2.0 * peak) * (1.0 + pad)
+    whole, peak, head = ends(q_lo)
+    lower = amp * (whole - peak - head) * (1.0 - pad)
+    return _checked(upper, 0, upper - max(lower, 0.0))
 
 
 def _first_unclipped(profile: MixingProfile) -> int:

@@ -9,6 +9,14 @@ every time step of component 0 before component 1's. One replication draws
 all its components from one stream that way, rng.stream at its seed path (a
 golden-ratio jump of a SeedSequence-keyed PCG64DXSM), so the same seed path
 gives the same sequence bit for bit in serial and parallel runs.
+
+A driver's sum_sampler(n, k, c) samples the k time sums sum_i c_i X_i of one
+replication from their exact law, one draw per component, without the path:
+each sum is a fixed linear combination of independent innovations, so a
+Gaussian driver's sum is normal with variance the sum of the squared
+coefficients (Brockwell and Davis, Time Series: Theory and Methods, 7.1),
+and an unweighted Rademacher sum is 2 Binomial(n, 1/2) - n. Weighted
+Rademacher sums have no such law; that sum_sampler returns None.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import fsum
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 from scipy.signal import lfilter
@@ -25,9 +33,37 @@ from .discretize import GridSpace, check_numbers, is_real
 from .rng import SeedLike, stream
 
 
+# Draws one replication's k time sums from the generator it is given.
+SumSampler = Callable[[np.random.Generator], np.ndarray]
+
+
 def _shape(n: int, k: Optional[int]) -> tuple:
     """(n,) for one component path; (k, n) for k paths drawn one after another."""
     return (n,) if k is None else (k, n)
+
+
+def _weights(n: int, scales: Optional[np.ndarray]) -> np.ndarray:
+    """The time weights c_1..c_n of a time sum: scales, or ones when unscaled."""
+    return np.ones(n) if scales is None else scales
+
+
+def _l2(x: np.ndarray) -> float:
+    """Euclidean norm, from a correctly rounded sum of squares scaled by the largest entry."""
+    top = float(np.max(np.abs(x)))
+    if top == 0.0 or not math.isfinite(top):
+        return top
+    return top * math.sqrt(fsum(((x / top) ** 2).tolist()))
+
+
+@dataclass(frozen=True)
+class NormalSums:
+    """A Gaussian driver's SumSampler: k independent N(0, sd^2) sums, one standard normal each."""
+
+    sd: float
+    k: int
+
+    def __call__(self, rng: np.random.Generator) -> np.ndarray:
+        return rng.standard_normal(self.k) * self.sd
 
 
 def abs_normal_moment(v: float) -> float:
@@ -66,6 +102,10 @@ class IidNormal:
     def sample_component(self, rng: np.random.Generator, n: int, k: Optional[int] = None) -> np.ndarray:
         return rng.standard_normal(_shape(n, k)) * self.sigma
 
+    def sum_sampler(self, n: int, k: int, scales: Optional[np.ndarray] = None) -> NormalSums:
+        """N(0, sigma^2 sum_i c_i^2) per component."""
+        return NormalSums(self.sigma * _l2(_weights(n, scales)), k)
+
 
 @dataclass(frozen=True)
 class IidRademacher:
@@ -92,6 +132,12 @@ class IidRademacher:
 
     def sample_component(self, rng: np.random.Generator, n: int, k: Optional[int] = None) -> np.ndarray:
         return rng.integers(0, 2, size=_shape(n, k)).astype(float) * 2.0 - 1.0
+
+    def sum_sampler(self, n: int, k: int, scales: Optional[np.ndarray] = None) -> Optional[SumSampler]:
+        """2 Binomial(n, 1/2) - n per component; None under scales, which only the path sampler draws."""
+        if scales is not None:
+            return None
+        return lambda rng: 2.0 * rng.binomial(n, 0.5, k) - n
 
 
 @dataclass(frozen=True)
@@ -121,7 +167,10 @@ class MaQ:
             raise ValueError("component count k must be a positive integer")
         # skip the rescale when already normalized, so serialize/parse round trips exactly
         if not math.isclose(nrm * scale, self.sigma, rel_tol=1e-15, abs_tol=0.0):
-            w = w / scale * (self.sigma / nrm)
+            with np.errstate(over="ignore", under="ignore"):  # checked just below
+                w = w / scale * (self.sigma / nrm)
+        if not np.all(np.isfinite(w)) or np.any((w != 0.0) & (np.abs(w) < np.finfo(float).tiny)):
+            raise ValueError("every stored weight (shape times sigma / norm) must be zero or a finite normal float")
         object.__setattr__(self, "weights", tuple(w.tolist()))
         object.__setattr__(self, "k", int(self.k))
 
@@ -151,6 +200,14 @@ class MaQ:
         for j in range(1, q + 1):
             out += self.weights[j] * eps[..., q - j : q - j + n]
         return out
+
+    def sum_sampler(self, n: int, k: int, scales: Optional[np.ndarray] = None) -> NormalSums:
+        """Normal per component; innovation eps_m enters the sum with weight sum_j c_{m-q+j} w_j.
+
+        Those are the entries of np.convolve(c, weights reversed), so weights
+        (1, -1) give variance O(1), with no n - (n - 1) cancellation.
+        """
+        return NormalSums(_l2(np.convolve(_weights(n, scales), self.weights[::-1])), k)
 
 
 @dataclass(frozen=True)
@@ -194,6 +251,19 @@ class Ar1:
         eps = draws[..., 1:] * self.sigma_innov
         out, _ = lfilter([1.0], [1.0, -self.rho], eps, axis=-1, zi=self.rho * x0)
         return out
+
+    def sum_sampler(self, n: int, k: int, scales: Optional[np.ndarray] = None) -> NormalSums:
+        """Normal per component, from the start value's and the innovations' weights.
+
+        X_i = rho^i X_0 + sum_{j<=i} rho^(i-j) e_j, so e_j enters the sum with
+        weight b_j = sum_{i>=j} c_i rho^(i-j), the reverse filter b_j = c_j +
+        rho b_{j+1}, and X_0 = sigma_innov z / sqrt(1 - rho^2) with weight rho b_1.
+        Every term of the variance is a square: no closed form in rho that
+        cancels as rho nears +-1.
+        """
+        b = lfilter([1.0], [1.0, -self.rho], _weights(n, scales)[::-1])[::-1]
+        start = self.rho * b[0] / math.sqrt((1.0 - self.rho) * (1.0 + self.rho))
+        return NormalSums(self.sigma_innov * _l2(np.append(start, b)), k)
 
 
 def ar1_unit_marginal(rho: float, k: int = 1) -> Ar1:
@@ -299,7 +369,9 @@ def sample_sequence(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike) ->
     Every component and time step is drawn from the one stream rng.stream(seed),
     component after component, so two calls with the same seed path agree bit
     for bit; with seed = seed_path(root, rep) that is the stream
-    montecarlo.sn_block draws replication rep from.
+    montecarlo.sn_block draws replication rep from. sn_block draws only the
+    time sums from it, so their paths match only where it sums the path
+    (scaled Rademacher); elsewhere this is its reference in law.
     """
     n = check_sequence(spec, n, grid)
     x = spec.driver.sample_component(stream(seed), n, spec.n_components)

@@ -42,7 +42,8 @@ MIN_REPS = 100
 # 1024 draws per replication; at 2048, 1.4-1.7x for normal and MA(q) drivers
 # and 1.03x for AR(1); 1.3-1.9x for the three from 4096 up. Rademacher draws
 # are cheap enough that two threads stay slower (0.6x at 2048, 0.8x at 4096)
-# until about 16k draws (1.7x).
+# until about 16k draws (1.7x). Exact time sums take k draws per replication,
+# so only scaled Rademacher paths (n * k draws) reach it.
 MIN_PARALLEL_DRAWS = 2048
 
 
@@ -106,24 +107,38 @@ def project(coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def sn_block(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike, lo: int, hi: int) -> np.ndarray:
-    """S_n on the grid for replications lo, ..., hi - 1, one row each.
+def time_sum_sampler(spec: FieldSpec, n: int, grid: GridSpace) -> tuple:
+    """(draw, draws): draw(rng) returns one replication's k time sums sum_i c_i X_i.
 
-    Replication rep draws every component and time step from its stream in
-    streams(seed, lo, hi), which is stream(seed_path(seed, rep)), in the order
-    sample_sequence draws them, so its row agrees with
-    simulate_sn(spec, n, grid, seed_path(seed, rep)) to rounding. The seed is
-    hashed once per block. Each component is summed over time (weighted under
-    scale_decay) before the basis projection, which runs once per block.
+    c_i is 1, or spec.scales(n) under scale_decay. Every driver but scaled
+    Rademacher draws the sums from their exact law, draws = k numbers; scaled
+    Rademacher sums its path from sample_component, draws = n * k numbers in
+    sample_sequence's order.
     """
     n = check_sequence(spec, n, grid)
     k = spec.n_components
     scales = spec.scales(n)
-    draw = spec.driver.sample_component
-    sums = np.empty((hi - lo, k))
+    exact = spec.driver.sum_sampler(n, k, scales)
+    if exact is not None:
+        return exact, k
+    path = spec.driver.sample_component
+    return (lambda rng: (path(rng, n, k) * scales).sum(axis=1)), n * k
+
+
+def sn_block(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike, lo: int, hi: int) -> np.ndarray:
+    """S_n on the grid for replications lo, ..., hi - 1, one row each.
+
+    Replication rep draws its k time sums from its stream in streams(seed, lo,
+    hi), which is stream(seed_path(seed, rep)), with time_sum_sampler, whose
+    law (and standard deviation) is set up once per block. So a row depends on
+    seed and rep only; for the path sampler it agrees with simulate_sn(spec, n,
+    grid, seed_path(seed, rep)) to rounding, for the exact one in law. The
+    seed is hashed once per block, and the basis projection runs once per block.
+    """
+    draw = time_sum_sampler(spec, n, grid)[0]
+    sums = np.empty((hi - lo, spec.n_components))
     for i, rng in enumerate(streams(seed, lo, hi)):
-        x = draw(rng, n, k)
-        sums[i] = x.sum(axis=1) if scales is None else (x * scales).sum(axis=1)
+        sums[i] = draw(rng)
     return project(sums / math.sqrt(n), spec.basis)
 
 
@@ -156,7 +171,7 @@ def replicate_norms(
     chunks = run_chunked(
         lambda lo, hi: lp_norms(sn_block(spec, n, grid, seed, lo, hi), p, grid),
         reps,
-        pool_threads(threads, n * spec.n_components),
+        pool_threads(threads, time_sum_sampler(spec, n, grid)[1]),
     )
     return np.concatenate(chunks)
 
@@ -223,7 +238,7 @@ def empirical_cov(
         block = sn_block(spec, n, grid, seed, lo, hi)
         return block.T @ block
 
-    chunks = run_chunked(worker, reps, pool_threads(threads, n * spec.n_components))
+    chunks = run_chunked(worker, reps, pool_threads(threads, time_sum_sampler(spec, n, grid)[1]))
     acc = chunks[0].copy()
     for part in chunks[1:]:
         acc += part

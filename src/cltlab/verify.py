@@ -32,6 +32,7 @@ from .montecarlo import (
     sn_block,
     summarize_norm_powers,
     sup_v_norm,
+    time_sum_sampler,
 )
 from .rng import SeedLike, seed_path
 
@@ -331,7 +332,7 @@ def projection_variance_check(
         run_chunked(
             lambda lo, hi: (sn_block(spec, n, grid, seed, lo, hi) * wx).sum(axis=1),
             reps,
-            pool_threads(threads, n * spec.n_components),
+            pool_threads(threads, time_sum_sampler(spec, n, grid)[1]),
         )
     )
     sq = proj * proj

@@ -34,6 +34,7 @@ from cltlab import (
     z_value,
 )
 from cltlab.bounds import _lag_series, default_v_grid
+from cltlab.mixing import value_at
 
 from conftest import assert_rel
 
@@ -377,6 +378,31 @@ def test_nachapetyan_k_polynomial_is_certified_upper_bound(s, c, p):
 @given(s=st.floats(min_value=2.0, max_value=8.0), c=AMPLITUDE, rho=st.floats(min_value=0.01, max_value=0.99))
 def test_nachapetyan_k_geometric_is_certified_upper_bound(s, c, rho):
     assert_k_certified(MixingProfile("beta", Geometric(c=c, rho=rho)), s)
+
+
+def test_geometric_tail_growing_past_the_term_budget_is_certified():
+    # q = rho^(1 - s/v) so near 1 that the terms still grow after MAX_TERMS lags:
+    # integrals bracket the tail, with no 2^21-term array, instead of +inf
+    for s, v in ((4, 6.0), (6, 12.0), (8, 16.0)):
+        prof = MixingProfile("alpha", Geometric(c=0.2, rho=0.9999999))
+        start = time.perf_counter()
+        rep = z_value(prof, s, v)
+        assert time.perf_counter() - start < 0.05
+        assert math.isfinite(rep.z_value) and rep.truncation_terms == 1
+        assert_z_certified(prof, s, v)
+    assert_k_certified(MixingProfile("beta", Geometric(c=0.5, rho=0.9999999)), 4.0)
+    # the cap clips lags 1 .. 1.4e7 here; the tail past them is q^r0 Phi(q, -d, r0 + 1), a Lerch transcendent
+    prof = MixingProfile("alpha", Geometric(c=1.0, rho=0.9999999))
+    rep = z_value(prof, 6, 12.0)
+    r0 = math.ceil(math.log(4.0) / -math.log(0.9999999))
+    assert value_at(prof, r0) < 0.25 <= value_at(prof, r0 - 1)
+    with mpmath.workdps(40):
+        q, cap = mpmath.sqrt(mpmath.mpf(0.9999999)), mpmath.sqrt(mpmath.mpf(1) / 4)
+        head = cap * (1 + mpmath.zeta(-2, 2) - mpmath.zeta(-2, r0 + 1))
+        total = head + q**r0 * mpmath.lerchphi(q, -2, r0 + 1)
+        exact = mpmath.root(utev_a(6).value * total, 6)
+        width = mpmath.root(utev_a(6).value * (total + rep.truncation_remainder), 6) - exact
+        assert_certified(rep.z_value, exact, width)
 
 
 def test_z_value_clipped_head_in_closed_form():

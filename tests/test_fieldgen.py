@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from cltlab import (
@@ -72,6 +72,14 @@ def test_driver_validation():
         MaQ(weights=(0.0, 0.0))
     with pytest.raises(ValueError):
         Ar1(rho=1.0)
+    # sigma must keep every stored weight (weights times sigma) finite and normal
+    with pytest.raises(ValueError):
+        MaQ(weights=(3.0,), sigma=1.7976931348623157e308)
+    with pytest.raises(ValueError):
+        MaQ(weights=(3.0,), sigma=5e-324)
+    with pytest.raises(ValueError):
+        MaQ(weights=(1.0, 1e-300), sigma=1e-10)
+    assert MaQ(weights=(1.0, 0.0, 1.0), sigma=1e-300).weights[1] == 0.0
 
 
 def test_ma_weights_are_normalized_to_marginal_sigma():
@@ -237,13 +245,21 @@ def test_scale_decay_flags_experimental_and_scales_first_row():
         FieldSpec(basis=basis_matrix("const", 1, grid), driver=IidNormal(), scale_decay=-0.5)
 
 
+def _ma_or_reject(weights, sigma, k):
+    """MaQ, or no example where a stored weight would leave the normal float range (MaQ raises there)."""
+    try:
+        return MaQ(weights=weights, sigma=sigma, k=k)
+    except ValueError:
+        reject()
+
+
 SIGMA = st.floats(min_value=0.0, allow_infinity=False)
 COUNT = st.integers(min_value=1, max_value=16)
 DRIVERS = st.one_of(
     st.builds(IidNormal, sigma=SIGMA, k=COUNT),
     st.builds(IidRademacher, k=COUNT),
     st.builds(
-        MaQ,
+        _ma_or_reject,
         weights=st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=6).filter(any),
         # MaQ stores its weights times sigma; near the float limits of sigma they underflow or overflow
         sigma=st.floats(min_value=1e-300, max_value=1e300),

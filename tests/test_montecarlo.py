@@ -2,9 +2,14 @@
 
 import csv
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from cltlab import (
     Ar1,
@@ -17,7 +22,6 @@ from cltlab import (
     default_n_schedule,
     empirical_cov,
     estimate_moment,
-    lp_norm,
     replicate_norms,
     seed_path,
     simulate_sn,
@@ -25,7 +29,10 @@ from cltlab import (
     uniform_grid,
     write_norms_csv,
 )
-from cltlab.montecarlo import CHUNK, CI_Z, MIN_REPS, pool_threads, sn_block
+from cltlab import montecarlo
+from cltlab.discretize import lp_norms
+from cltlab.montecarlo import CHUNK, CI_Z, MIN_REPS, pool_threads, project, sn_block, time_sum_sampler
+from cltlab.rng import stream, streams
 
 from conftest import assert_rel
 
@@ -72,38 +79,169 @@ def test_serial_equals_parallel_bitwise(grid16, const_normal_field):
     assert np.array_equal(a, b)
 
 
-def test_replication_norms_independent_of_reps_and_threads(grid16):
-    # n * k reaches MIN_PARALLEL_DRAWS, so threads=2 runs the thread pool
+def test_replication_norms_independent_of_reps_and_threads(grid16, monkeypatch):
+    # exact time sums take k = 4 draws per replication and would run serially; force the thread pool
+    monkeypatch.setattr(montecarlo, "MIN_PARALLEL_DRAWS", 0)
     spec = FieldSpec(basis=basis_matrix("fourier", 4, grid16), driver=MaQ(weights=(1.0, 1.0), k=4))
     n = 1024
-    assert pool_threads(2, n * spec.n_components) == 2
+    assert time_sum_sampler(spec, n, grid16)[1] == spec.n_components
+    assert pool_threads(2, spec.n_components) == 2
     ref = replicate_norms(spec, n, 2.0, grid16, 600, seed=9, threads=1)
     # 257 leaves a one-row last chunk
     for reps, threads in ((257, 1), (300, 1), (300, 2), (600, 2)):
         norms = replicate_norms(spec, n, 2.0, grid16, reps, seed=9, threads=threads)
         assert np.array_equal(norms, ref[:reps])
-    # each is, to rounding, the norm of the replication's own simulate_sn path
-    for rep in (0, CHUNK - 1, CHUNK, 299):
-        direct = simulate_sn(spec, n, grid16, seed_path(9, rep))
-        assert_rel(ref[rep], lp_norm(direct, 2.0, grid16), 1e-12)
+
+
+def test_threads_follow_the_draws_of_the_sampler_used(grid16):
+    # k draws for exact time sums stay serial; a scaled Rademacher path of n * k draws uses the pool
+    basis = basis_matrix("fourier", 4, grid16)
+    exact = FieldSpec(basis=basis, driver=IidRademacher(k=4))
+    path = FieldSpec(basis=basis, driver=IidRademacher(k=4), scale_decay=0.5)
+    assert time_sum_sampler(exact, 1024, grid16)[1] == 4
+    assert time_sum_sampler(path, 1024, grid16)[1] == 4096
+    assert pool_threads(2, time_sum_sampler(exact, 1024, grid16)[1]) == 1
+    assert pool_threads(2, time_sum_sampler(path, 1024, grid16)[1]) == 2
+
+
+DRIVERS = [IidNormal(sigma=2.0, k=3), IidRademacher(k=3), MaQ(weights=(1.0, 2.0, 1.0), k=3), Ar1(rho=0.7, k=3)]
+DRIVER_IDS = ["iid_normal", "iid_rademacher", "ma_q", "ar1"]
+
+
+def one_replication(spec, n, grid, seed, rep):
+    """Replication rep's row computed on its own: its k time sums from stream(seed_path(seed, rep)), projected."""
+    sums = time_sum_sampler(spec, n, grid)[0](stream(seed_path(seed, rep)))
+    return project(sums[None, :] / math.sqrt(n), spec.basis)[0]
 
 
 @pytest.mark.parametrize("scale_decay", [None, 0.5])
-@pytest.mark.parametrize(
-    "driver",
-    [IidNormal(sigma=2.0, k=3), IidRademacher(k=3), MaQ(weights=(1.0, 2.0, 1.0), k=3), Ar1(rho=0.7, k=3)],
-    ids=["iid_normal", "iid_rademacher", "ma_q", "ar1"],
-)
+@pytest.mark.parametrize("driver", DRIVERS, ids=DRIVER_IDS)
 def test_block_rows_match_simulate_sn(grid16, driver, scale_decay):
     spec = FieldSpec(basis=basis_matrix("fourier", 3, grid16), driver=driver, scale_decay=scale_decay)
     lo, hi = CHUNK - 5, CHUNK + 7
     block = sn_block(spec, 48, grid16, 11, lo, hi)
     assert block.shape == (hi - lo, grid16.size)
+    path = time_sum_sampler(spec, 48, grid16)[1] == 48 * spec.n_components
+    # only scaled Rademacher keeps the path sampler
+    assert path == (isinstance(driver, IidRademacher) and scale_decay is not None)
     for i, rep in enumerate(range(lo, hi)):
         # a row does not depend on the block it is computed in
         assert np.array_equal(sn_block(spec, 48, grid16, 11, rep, rep + 1)[0], block[i])
-        direct = simulate_sn(spec, 48, grid16, seed_path(11, rep))
-        assert np.allclose(block[i], direct, rtol=0.0, atol=1e-12)
+        assert np.array_equal(one_replication(spec, 48, grid16, 11, rep), block[i])
+        if path:
+            direct = simulate_sn(spec, 48, grid16, seed_path(11, rep))
+            assert np.allclose(block[i], direct, rtol=0.0, atol=1e-12)
+
+
+def _path_sums(driver, n, scales, reps, seed):
+    """reps independent time sums of one component path each, from sample_component."""
+    x = driver.sample_component(np.random.default_rng(seed), n, reps)
+    return (x if scales is None else x * scales).sum(axis=1)
+
+
+LAW_CASES = [(d, i, sd) for d, i in zip(DRIVERS, DRIVER_IDS) for sd in (None, 0.5)]
+
+
+@pytest.mark.parametrize(
+    "driver,scale_decay",
+    [(d, sd) for d, i, sd in LAW_CASES if not (i == "iid_rademacher" and sd is not None)],
+    ids=[f"{i}-{sd}" for d, i, sd in LAW_CASES if not (i == "iid_rademacher" and sd is not None)],
+)
+def test_exact_time_sums_agree_with_path_sums_in_law(grid16, driver, scale_decay):
+    n, reps = 64, 4000
+    spec = FieldSpec(basis=basis_matrix("fourier", 3, grid16), driver=driver, scale_decay=scale_decay)
+    draw, draws = time_sum_sampler(spec, n, grid16)
+    assert draws == spec.n_components
+    exact = np.concatenate([draw(rng) for rng in streams(5, 0, reps // spec.n_components)])
+    path = _path_sums(driver, n, spec.scales(n), exact.size, 6)
+    assert ks_2samp(exact, path).pvalue > 1e-3
+    # second and fourth moments agree within 4 standard errors of their difference
+    for power in (2, 4):
+        a, b = exact**power, path**power
+        se = math.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size)
+        assert abs(a.mean() - b.mean()) < 4.0 * se
+
+
+def _oracle_variance(driver, c):
+    """sum_{i,j} c_i c_j gamma(i - j), exactly (Fraction) or at 50 digits (mpmath, AR(1)).
+
+    It sums the autocovariances of the path, not the squared weights of the
+    innovations the sampler sums. AR(1) is grouped as sum_i c_i^2 gamma(0) +
+    2 sum_i c_i t_i gamma(0) with t_i = sum_{j<i} c_j rho^(i-j) = rho (t_{i-1} + c_{i-1}).
+    """
+    if isinstance(driver, Ar1):
+        with mpmath.workdps(50):
+            rho, sig = mpmath.mpf(driver.rho), mpmath.mpf(driver.sigma_innov)
+            total, t, prev = mpmath.mpf(0), mpmath.mpf(0), mpmath.mpf(0)
+            for i, ci in enumerate(c):
+                ci = mpmath.mpf(float(ci))
+                if i:
+                    t = rho * (t + prev)
+                total += ci * ci + 2 * ci * t
+                prev = ci
+            return float(sig**2 / (1 - rho**2) * total)
+    cf = [Fraction(float(x)) for x in c]
+    if isinstance(driver, IidNormal):
+        return float(Fraction(driver.sigma) ** 2 * sum(x * x for x in cf))
+    w = [Fraction(x) for x in driver.weights]
+    total = Fraction(0)
+    for h in range(-driver.order, driver.order + 1):
+        gamma = sum(w[u] * w[u + abs(h)] for u in range(len(w) - abs(h)))
+        total += gamma * sum(cf[i] * cf[i + h] for i in range(max(0, -h), min(len(cf), len(cf) - h)))
+    return float(total)
+
+
+@pytest.mark.parametrize(
+    "driver",
+    [IidNormal(sigma=1.5), MaQ(weights=(1.0, -1.0)), MaQ(weights=(1.0, 2.0, 1.0))]
+    + [Ar1(rho=rho) for rho in (-0.999, 0.0, 0.6, 0.9999)],
+    ids=["iid_normal", "ma_1_-1", "ma_1_2_1", "ar1_-0.999", "ar1_0", "ar1_0.6", "ar1_0.9999"],
+)
+def test_exact_sum_variance_against_oracle(grid16, driver):
+    for n in (1, 2, 3, 16, 4096):
+        for scale_decay in (None, 0.5):
+            spec = FieldSpec(basis=basis_matrix("const", 1, grid16), driver=driver, scale_decay=scale_decay)
+            sampler = time_sum_sampler(spec, n, grid16)[0]
+            exact = _oracle_variance(driver, np.ones(n) if scale_decay is None else spec.scales(n))
+            assert_rel(sampler.sd**2, exact, 1e-13, f"n={n} scale_decay={scale_decay}")
+
+
+ENGINE_DRIVERS = st.one_of(
+    st.builds(IidNormal, sigma=st.floats(0.0, 10.0), k=st.integers(1, 4)),
+    st.builds(IidRademacher, k=st.integers(1, 4)),
+    st.builds(
+        MaQ,
+        # multiples of 1e-3, so no stored weight is subnormal
+        weights=st.lists(st.floats(-2.0, 2.0).map(lambda x: round(x, 3)), min_size=1, max_size=4).filter(any),
+        sigma=st.floats(0.1, 10.0),
+        k=st.integers(1, 4),
+    ),
+    st.builds(Ar1, rho=st.floats(-0.99, 0.99), sigma_innov=st.floats(0.0, 10.0), k=st.integers(1, 4)),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    driver=ENGINE_DRIVERS,
+    scale_decay=st.one_of(st.none(), st.floats(0.0, 2.0)),
+    n=st.integers(1, 64),
+    seed=st.integers(0, 2**32),
+    lo=st.integers(0, 600),
+    size=st.integers(1, 8),
+    reps=st.integers(MIN_REPS, 300),
+    p=st.sampled_from([1.0, 2.0, 4.0]),
+)
+def test_engine_rows_are_one_replication_blocks(driver, scale_decay, n, seed, lo, size, reps, p):
+    grid = uniform_grid(8)
+    spec = FieldSpec(basis=basis_matrix("indicator", driver.k, grid), driver=driver, scale_decay=scale_decay)
+    block = sn_block(spec, n, grid, seed, lo, lo + size)
+    norms = replicate_norms(spec, n, p, grid, reps, seed)
+    for rep in list(range(lo, lo + size)) + [0, reps - 1]:
+        row = one_replication(spec, n, grid, seed, rep)
+        if lo <= rep < lo + size:
+            assert np.array_equal(block[rep - lo], row)
+        if rep < reps:
+            assert norms[rep] == lp_norms(row[None, :], p, grid)[0]
 
 
 def test_replicate_norms_reps_floor(const_normal_field, grid16):
