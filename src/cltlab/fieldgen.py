@@ -47,12 +47,23 @@ def _weights(n: int, scales: Optional[np.ndarray]) -> np.ndarray:
     return np.ones(n) if scales is None else scales
 
 
-def _l2(x: np.ndarray) -> float:
-    """Euclidean norm, from a correctly rounded sum of squares scaled by the largest entry."""
+def _scaled_l2(x: np.ndarray) -> tuple:
+    """(scale, r) with ||x||_2 = scale * r.
+
+    scale is the power of two at or below max |x|, so x / scale is exact and
+    its squares stay in float range; r is the root of their correctly rounded sum.
+    """
     top = float(np.max(np.abs(x)))
     if top == 0.0 or not math.isfinite(top):
-        return top
-    return top * math.sqrt(fsum(((x / top) ** 2).tolist()))
+        return 1.0, top
+    scale = 2.0 ** (math.frexp(top)[1] - 1)
+    return scale, math.sqrt(fsum(((x / scale) ** 2).tolist()))
+
+
+def _l2(x: np.ndarray) -> float:
+    """Euclidean norm of x, from _scaled_l2."""
+    scale, r = _scaled_l2(x)
+    return scale * r
 
 
 @dataclass(frozen=True)
@@ -158,9 +169,8 @@ class MaQ:
             raise ValueError("weights must be a nonempty finite 1-d sequence")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError("sigma must be finite and positive")
-        # a power-of-two scale (exact) keeps the squares and sigma / norm in float range
-        scale = 2.0 ** (math.frexp(float(np.abs(w).max()))[1] - 1)
-        nrm = math.sqrt(fsum(((w / scale) ** 2).tolist()))
+        # the norm as scale * nrm keeps sigma / nrm in float range
+        scale, nrm = _scaled_l2(w)
         if nrm == 0.0:
             raise ValueError("weights must not all be zero")
         if int(self.k) != self.k or self.k < 1:

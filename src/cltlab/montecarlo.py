@@ -1,12 +1,13 @@
 """Monte Carlo estimation of normed-sum moments S_n(t) = n^(-1/2) sum_i xi_i(t).
 
-Every estimator here is built on one block primitive, sn_block, which returns
-S_n on the grid for a range of replications. Replication rep draws everything
-from its own stream (seed, rep), taken from rng.streams, and each row of a
-block is computed and reduced on its own, so a replication's values depend
-neither on the thread count nor on how many replications run. Replications
-are partitioned into fixed-size chunks whose results are assembled in index
-order, so estimates are bit-identical for any thread count.
+Every estimator here is built on one block primitive, sn_block (or the
+block function sn_blocks sets up), which returns S_n on the grid for a range
+of replications. Replication rep draws everything from its own stream
+(seed, rep), taken from rng.streams, and each row of a block is computed and
+reduced on its own, so a replication's values depend neither on the thread
+count nor on how many replications run. Replications are partitioned into
+fixed-size chunks whose results are assembled in index order, so estimates
+are bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -39,11 +40,12 @@ MIN_REPS = 100
 # Draws per replication below which a thread pool does not pay. Only the draws
 # run outside the GIL; shorter ones save less than the GIL handoffs between
 # threads cost. Two threads against serial on a 2-core machine: 0.82-0.95x at
-# 1024 draws per replication; at 2048, 1.4-1.7x for normal and MA(q) drivers
-# and 1.03x for AR(1); 1.3-1.9x for the three from 4096 up. Rademacher draws
-# are cheap enough that two threads stay slower (0.6x at 2048, 0.8x at 4096)
-# until about 16k draws (1.7x). Exact time sums take k draws per replication,
-# so only scaled Rademacher paths (n * k draws) reach it.
+# 1024 draws per replication; at 2048, 1.4-1.7x for normal and MA(q) path
+# drivers and 1.03x for AR(1); 1.3-1.9x for the three from 4096 up. Exact time
+# sums take k draws per replication, so only scaled Rademacher paths (n * k
+# draws) and limit laws of rank 2048 or more reach it. Rademacher draws are
+# cheap enough that two threads stay slower on those paths (0.40x at 2048,
+# 0.61x at 4096, 0.97x at 16384) and pay from about 64k draws (1.69x).
 MIN_PARALLEL_DRAWS = 2048
 
 
@@ -125,21 +127,35 @@ def time_sum_sampler(spec: FieldSpec, n: int, grid: GridSpace) -> tuple:
     return (lambda rng: (path(rng, n, k) * scales).sum(axis=1)), n * k
 
 
+def sn_blocks(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike) -> tuple:
+    """(block, draws): block(lo, hi) is sn_block(spec, n, grid, seed, lo, hi).
+
+    The time-sum sampler (and its standard deviation) is set up once here,
+    not per block; draws is the count of random numbers one replication
+    takes, which the callers hand to pool_threads.
+    """
+    draw, draws = time_sum_sampler(spec, n, grid)
+
+    def block(lo: int, hi: int) -> np.ndarray:
+        sums = np.empty((hi - lo, spec.n_components))
+        for i, rng in enumerate(streams(seed, lo, hi)):
+            sums[i] = draw(rng)
+        return project(sums / math.sqrt(n), spec.basis)
+
+    return block, draws
+
+
 def sn_block(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike, lo: int, hi: int) -> np.ndarray:
     """S_n on the grid for replications lo, ..., hi - 1, one row each.
 
     Replication rep draws its k time sums from its stream in streams(seed, lo,
-    hi), which is stream(seed_path(seed, rep)), with time_sum_sampler, whose
-    law (and standard deviation) is set up once per block. So a row depends on
-    seed and rep only; for the path sampler it agrees with simulate_sn(spec, n,
-    grid, seed_path(seed, rep)) to rounding, for the exact one in law. The
-    seed is hashed once per block, and the basis projection runs once per block.
+    hi), which is stream(seed_path(seed, rep)), with time_sum_sampler. So a
+    row depends on seed and rep only; for the path sampler it agrees with
+    simulate_sn(spec, n, grid, seed_path(seed, rep)) to rounding, for the
+    exact one in law. The seed is hashed once per block, and the basis
+    projection runs once per block.
     """
-    draw = time_sum_sampler(spec, n, grid)[0]
-    sums = np.empty((hi - lo, spec.n_components))
-    for i, rng in enumerate(streams(seed, lo, hi)):
-        sums[i] = draw(rng)
-    return project(sums / math.sqrt(n), spec.basis)
+    return sn_blocks(spec, n, grid, seed)[0](lo, hi)
 
 
 def run_chunked(worker, reps: int, threads: int) -> list:
@@ -168,11 +184,8 @@ def replicate_norms(
 ) -> np.ndarray:
     """||S_n||_p over replications, one stream per replication."""
     reps = check_reps(reps)
-    chunks = run_chunked(
-        lambda lo, hi: lp_norms(sn_block(spec, n, grid, seed, lo, hi), p, grid),
-        reps,
-        pool_threads(threads, time_sum_sampler(spec, n, grid)[1]),
-    )
+    block, draws = sn_blocks(spec, n, grid, seed)
+    chunks = run_chunked(lambda lo, hi: lp_norms(block(lo, hi), p, grid), reps, pool_threads(threads, draws))
     return np.concatenate(chunks)
 
 
@@ -233,12 +246,13 @@ def empirical_cov(
     estimate_moment(s=2, p=2) on the same seeds.
     """
     reps = check_reps(reps)
+    block, draws = sn_blocks(spec, n, grid, seed)
 
     def worker(lo: int, hi: int) -> np.ndarray:
-        block = sn_block(spec, n, grid, seed, lo, hi)
-        return block.T @ block
+        rows = block(lo, hi)
+        return rows.T @ rows
 
-    chunks = run_chunked(worker, reps, pool_threads(threads, time_sum_sampler(spec, n, grid)[1]))
+    chunks = run_chunked(worker, reps, pool_threads(threads, draws))
     acc = chunks[0].copy()
     for part in chunks[1:]:
         acc += part

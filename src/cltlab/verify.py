@@ -29,10 +29,9 @@ from .montecarlo import (
     pool_threads,
     replicate_norms,
     run_chunked,
-    sn_block,
+    sn_blocks,
     summarize_norm_powers,
     sup_v_norm,
-    time_sum_sampler,
 )
 from .rng import SeedLike, seed_path
 
@@ -328,13 +327,9 @@ def projection_variance_check(
     wx = grid.weights * x
     analytic = float(wx @ limit_covariance(spec, grid).covariance @ wx)
     # reduced row by row, like lp_norms, so a replication's value does not depend on its block
-    proj = np.concatenate(
-        run_chunked(
-            lambda lo, hi: (sn_block(spec, n, grid, seed, lo, hi) * wx).sum(axis=1),
-            reps,
-            pool_threads(threads, time_sum_sampler(spec, n, grid)[1]),
-        )
-    )
+    block, draws = sn_blocks(spec, n, grid, seed)
+    chunks = run_chunked(lambda lo, hi: (block(lo, hi) * wx).sum(axis=1), reps, pool_threads(threads, draws))
+    proj = np.concatenate(chunks)
     sq = proj * proj
     empirical = float(np.mean(sq))
     se = math.sqrt(max(float(np.mean((sq - empirical) ** 2)), 0.0) / reps)
