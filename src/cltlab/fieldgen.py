@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, islice
 from math import fsum
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .discretize import GridSpace, check_numbers, is_real
 from .rng import SeedLike, stream
@@ -64,6 +64,16 @@ def _l2(x: np.ndarray) -> float:
     """Euclidean norm of x, from _scaled_l2."""
     scale, r = _scaled_l2(x)
     return scale * r
+
+
+def _ar1_filter(x: np.ndarray, rho: float, start: Optional[float] = None) -> np.ndarray:
+    """y_i = x_i + rho y_{i-1} over a 1-d x, from y_{-1} = start, or y_0 = x_0 without one.
+
+    Each step rounds rho y_{i-1} and then the sum, as the first-order filter
+    lfilter([1], [1, -rho], x, zi=[rho start]) does, so the two agree bit for bit.
+    """
+    ys = accumulate(x.tolist(), lambda y, e: e + rho * y, initial=start)
+    return np.fromiter(ys if start is None else islice(ys, 1, None), float, x.size)
 
 
 @dataclass(frozen=True)
@@ -257,9 +267,10 @@ class Ar1:
 
     def sample_component(self, rng: np.random.Generator, n: int, k: Optional[int] = None) -> np.ndarray:
         draws = rng.standard_normal(_shape(n + 1, k))
-        x0 = draws[..., :1] * math.sqrt(self.marginal_variance)
-        eps = draws[..., 1:] * self.sigma_innov
-        out, _ = lfilter([1.0], [1.0, -self.rho], eps, axis=-1, zi=self.rho * x0)
+        x0 = draws[..., 0] * math.sqrt(self.marginal_variance)
+        out = draws[..., 1:] * self.sigma_innov
+        for row, start in zip(out.reshape(-1, n), np.ravel(x0).tolist()):
+            row[:] = _ar1_filter(row, self.rho, start)
         return out
 
     def sum_sampler(self, n: int, k: int, scales: Optional[np.ndarray] = None) -> NormalSums:
@@ -271,7 +282,7 @@ class Ar1:
         Every term of the variance is a square: no closed form in rho that
         cancels as rho nears +-1.
         """
-        b = lfilter([1.0], [1.0, -self.rho], _weights(n, scales)[::-1])[::-1]
+        b = _ar1_filter(_weights(n, scales)[::-1], self.rho)[::-1]
         start = self.rho * b[0] / math.sqrt((1.0 - self.rho) * (1.0 + self.rho))
         return NormalSums(self.sigma_innov * _l2(np.append(start, b)), k)
 

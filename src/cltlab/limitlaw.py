@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dpstrf
 
 from .discretize import GridSpace, lp_norms
 from .fieldgen import FieldSpec, long_run_covariance
@@ -89,6 +88,9 @@ def factorize_covariance(cov: np.ndarray) -> LimitField:
             continue
         if _factor_error(factor, target) <= FACTOR_RTOL:
             return LimitField(covariance=cov, factor=factor, jitter=jitter)
+    # scipy only here, so importing the package does not load it
+    from scipy.linalg.lapack import dpstrf
+
     jitter = JITTERS[-1]
     target = cov + jitter * eye
     c, piv, rank, _info = dpstrf(target, lower=1)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Dict, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import kolmogorov
 
 from .bounds import lp_moment_bound, nachapetyan_bound, nachapetyan_k
 from .discretize import GridSpace
@@ -61,6 +60,9 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
     large-sample approximation, invariant under strictly increasing transforms
     of the data.
     """
+    # scipy only here, so importing the package does not load it
+    from scipy.special import kolmogorov
+
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     if a.size == 0 or b.size == 0:
