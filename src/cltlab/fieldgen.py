@@ -257,19 +257,20 @@ class Ar1:
 
     @property
     def marginal_variance(self) -> float:
-        return self.sigma_innov**2 / (1.0 - self.rho**2)
+        # (1 - rho)(1 + rho), not 1 - rho^2, which cancels as |rho| nears 1
+        return self.sigma_innov**2 / ((1.0 - self.rho) * (1.0 + self.rho))
 
     def autocovariance(self, lag: int) -> float:
         return self.marginal_variance * self.rho ** abs(int(lag))
 
     def long_run_variance(self) -> float:
-        return self.marginal_variance * (1.0 + self.rho) / (1.0 - self.rho)
+        return self.sigma_innov**2 / (1.0 - self.rho) ** 2
 
     def sample_component(self, rng: np.random.Generator, n: int, k: Optional[int] = None) -> np.ndarray:
         draws = rng.standard_normal(_shape(n + 1, k))
         x0 = draws[..., 0] * math.sqrt(self.marginal_variance)
         out = draws[..., 1:] * self.sigma_innov
-        for row, start in zip(out.reshape(-1, n), np.ravel(x0).tolist()):
+        for row, start in zip(np.atleast_2d(out), np.ravel(x0).tolist()):
             row[:] = _ar1_filter(row, self.rho, start)
         return out
 
@@ -288,8 +289,8 @@ class Ar1:
 
 
 def ar1_unit_marginal(rho: float, k: int = 1) -> Ar1:
-    """AR(1) with unit marginal variance: sigma_innov = sqrt(1 - rho^2)."""
-    return Ar1(rho=rho, sigma_innov=math.sqrt(1.0 - rho**2), k=k)
+    """AR(1) with unit marginal variance: sigma_innov = sqrt((1 - rho)(1 + rho))."""
+    return Ar1(rho=rho, sigma_innov=math.sqrt((1.0 - rho) * (1.0 + rho)), k=k)
 
 
 Driver = Union[IidNormal, IidRademacher, MaQ, Ar1]

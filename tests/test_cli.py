@@ -4,12 +4,16 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+import cltlab
 from cltlab import cli, montecarlo
 from cltlab.cli import main
 from cltlab.discretize import grid_from_config, uniform_grid
@@ -522,3 +526,41 @@ def test_fuzzed_inputs_exit_cleanly(tmp_path, capsys, paths_only, command, data)
             assert results["summary"]["converged"] is False
         else:
             assert results["verdict"]["satisfied"] is False
+
+
+# Runs each command in turn in a fresh interpreter and prints the scipy modules loaded after each.
+COLD_START = """
+import json, sys
+import cltlab, cltlab.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = {"import": scipy_modules()}
+for name, argv in json.loads(sys.argv[1]):
+    code = cltlab.cli.main(argv)
+    if code not in (0, 1):
+        sys.exit(f"{name} exited {code}")
+    seen[name] = scipy_modules()
+print(json.dumps(seen))
+"""
+
+
+def test_cold_start_loads_scipy_only_for_the_ks_p_value(tmp_path):
+    out = str(tmp_path / "report.json")
+    runs = [
+        ("bounds", ["bounds", "--s", "2", "--v", "4", "--profile", "iid", "--out", out]),
+        ("verify-bounds", ["verify-bounds", "--config", write_config(tmp_path, "vb.json", VB), "--out", out]),
+        ("verify-clt", ["verify-clt", "--config", write_config(tmp_path, "clt.json", CLT), "--out", out]),
+    ]
+    src = str(Path(cltlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START, json.dumps(runs)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen["import"] == seen["bounds"] == seen["verify-bounds"] == []
+    clt = seen["verify-clt"]
+    assert "scipy.special" in clt
+    assert not any(m.startswith(("scipy.signal", "scipy.stats")) for m in clt), clt

@@ -2,11 +2,13 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from scipy.signal import lfilter
 
 from cltlab import (
     Ar1,
@@ -23,7 +25,8 @@ from cltlab import (
     sup_v_norm,
     uniform_grid,
 )
-from cltlab.fieldgen import driver_from_dict, driver_to_dict
+from cltlab.fieldgen import _l2, driver_from_dict, driver_to_dict
+from cltlab.rng import stream
 
 from conftest import assert_rel
 
@@ -142,6 +145,50 @@ def test_ar1_rho_zero_matches_iid_in_law():
     assert abs(float(np.mean(x))) < 0.02
     assert abs(float(np.var(x)) - 1.0) < 0.02
     assert ar.long_run_variance() == 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rho=st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    sigma_innov=st.floats(0.0, 10.0),
+    n=st.integers(1, 4096),
+    k=st.integers(1, 4),
+    scaled=st.booleans(),
+    seed=st.integers(0, 2**32),
+)
+@example(rho=0.9999, sigma_innov=1.0, n=4096, k=3, scaled=True, seed=0)
+@example(rho=-0.999999, sigma_innov=0.3, n=1, k=1, scaled=False, seed=1)
+def test_ar1_recurrence_matches_lfilter_bit_for_bit(rho, sigma_innov, n, k, scaled, seed):
+    # the path and the sum sampler's reverse weights against scipy's first-order filter
+    ar = Ar1(rho=rho, sigma_innov=sigma_innov, k=k)
+    draws = stream(seed).standard_normal((k, n + 1))
+    x0 = draws[:, :1] * math.sqrt(ar.marginal_variance)
+    path, _ = lfilter([1.0], [1.0, -rho], draws[:, 1:] * sigma_innov, axis=-1, zi=rho * x0)
+    assert np.array_equal(ar.sample_component(stream(seed), n, k), path)
+    assert np.array_equal(ar.sample_component(stream(seed), n), path[0])
+
+    scales = np.random.default_rng(seed).uniform(0.1, 10.0, n) if scaled else None
+    b = lfilter([1.0], [1.0, -rho], (np.ones(n) if scales is None else scales)[::-1])[::-1]
+    start = rho * b[0] / math.sqrt((1.0 - rho) * (1.0 + rho))
+    assert ar.sum_sampler(n, k, scales).sd == sigma_innov * _l2(np.append(start, b))
+
+
+def ulps_off(value, exact):
+    """|value - exact| in units of the last place of value."""
+    return abs(Fraction(value) - exact) / Fraction(math.ulp(value))
+
+
+@pytest.mark.parametrize("rho", [0.9999, -0.9999, 0.999999, -0.999999])
+def test_ar1_variances_near_unit_root_against_exact_fractions(rho):
+    sigma = 0.3
+    one_minus_sq = 1 - Fraction(rho) ** 2
+    ar = Ar1(rho=rho, sigma_innov=sigma)
+    assert ulps_off(ar.marginal_variance, Fraction(sigma) ** 2 / one_minus_sq) <= 2
+    assert ulps_off(ar.long_run_variance(), Fraction(sigma) ** 2 / (1 - Fraction(rho)) ** 2) <= 2
+    # sqrt(1 - rho^2) lies within 2 ulps of the unit-marginal innovation scale
+    s = ar1_unit_marginal(rho).sigma_innov
+    lo, hi = Fraction(s - 2 * math.ulp(s)), Fraction(s + 2 * math.ulp(s))
+    assert lo**2 < one_minus_sq < hi**2
 
 
 def test_basis_matrix_families():

@@ -1,6 +1,7 @@
 """Limit covariance assembly, jittered factorization, limit-law sampling."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from cltlab import (
     uniform_grid,
 )
 from cltlab import montecarlo
-from cltlab.limitlaw import FACTOR_RTOL, JITTERS
+from cltlab.discretize import lp_norms
+from cltlab.limitlaw import FACTOR_RTOL, JITTERS, LimitField
+from cltlab.rng import seed_path, stream
 
 from conftest import assert_rel
 
@@ -133,6 +136,35 @@ def test_factorize_rejects_indefinite_matrices(data, n):
     assume(np.linalg.eigvalsh(cov).min() < -1e-6 * np.abs(cov).max())
     with pytest.raises(DegenerateCovarianceError):
         factorize_covariance(cov)
+
+
+def one_limit_replication(field, p, grid, seed, rep):
+    """Replication rep's norm computed on its own: its normals from stream(seed_path(seed, rep)), projected."""
+    z = stream(seed_path(seed, rep)).standard_normal(field.factor.shape[1])
+    return lp_norms(montecarlo.project(z[None, :], np.ascontiguousarray(field.factor.T)), p, grid)[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    size=st.integers(2, 12),
+    rank=st.integers(1, 5),
+    p=st.sampled_from([1.0, 2.0, 3.5, 4.0]),
+    reps=st.integers(1, 600),
+    threads=st.sampled_from([1, 2]),
+    seed=st.integers(0, 2**32),
+)
+def test_limit_rows_are_one_replication_blocks(data, size, rank, p, reps, threads, seed):
+    grid = uniform_grid(size)
+    factor = matrices(data.draw, size, rank)
+    field = LimitField(covariance=factor @ factor.T, factor=factor, jitter=0.0)
+    # a few draws per replication would run serially; force the thread pool
+    with mock.patch.object(montecarlo, "MIN_PARALLEL_DRAWS", 0):
+        norms = sample_limit_norms(field, p, grid, reps, seed, threads)
+    assert norms.shape == (reps,)
+    rep = data.draw(st.integers(0, reps - 1))
+    for r in {0, rep, reps - 1, min(montecarlo.CHUNK, reps - 1)}:
+        assert norms[r] == one_limit_replication(field, p, grid, seed, r)
 
 
 def test_zero_covariance_gives_zero_factor(grid16):
