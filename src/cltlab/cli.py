@@ -59,6 +59,13 @@ def _int(name: str, value) -> int:
     return value
 
 
+def _nonnegative_int(name: str, value) -> int:
+    value = _int(name, value)
+    if value < 0:
+        raise ConfigError(f"{name!r} must be nonnegative, not {value}")
+    return value
+
+
 def _float(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name!r} must be a number, not {value!r}")
@@ -106,6 +113,7 @@ class Kind(NamedTuple):
 
 
 INT = Kind("int", _int, int)
+NONNEGATIVE_INT = Kind("nonnegative int", _nonnegative_int, int)
 FLOAT = Kind("float", _float, float)
 FLOATS = Kind("float or list of floats", _floats, float, repeat=True)
 INTS = Kind("list of ints", _ints)
@@ -138,7 +146,7 @@ class Key(NamedTuple):
 # from the report), so a report records the seed and threads it ran with
 COMMON_KEYS = (
     Key("seed", INT, "root seed, noted in the report", default=0),
-    Key("threads", INT, "worker threads; 0 means all cores", default=1),
+    Key("threads", NONNEGATIVE_INT, "accepted and recorded; does not change the work or any result", default=1),
     Key("out", PATH, "report path", default="report.json"),
 )
 _SAMPLED = (

@@ -8,7 +8,7 @@ sample_component(rng, n, k) returns k of them as a (k x n) array, drawing
 every time step of component 0 before component 1's. One replication draws
 all its components from one stream that way, rng.stream at its seed path (a
 golden-ratio jump of a SeedSequence-keyed PCG64DXSM), so the same seed path
-gives the same sequence bit for bit in serial and parallel runs.
+gives the same sequence bit for bit, whichever block of replications it is in.
 
 A driver's sum_sampler(n, k, c) samples the k time sums sum_i c_i X_i of one
 replication from their exact law, one draw per component, without the path:

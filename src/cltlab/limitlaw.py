@@ -19,9 +19,9 @@ import numpy as np
 
 from .discretize import GridSpace, lp_norms
 from .fieldgen import FieldSpec, long_run_covariance
-from .montecarlo import pool_threads, project, run_chunked
+from .montecarlo import project, replication_draws, run_chunked
 # stream stays importable here for the tracing hooks in perfbench/tracing.py
-from .rng import SeedLike, stream, streams  # noqa: F401
+from .rng import SeedLike, stream  # noqa: F401
 
 JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
 
@@ -126,10 +126,9 @@ def sample_limit_norms(
     """||S||_p over replications of the limit field S = factor z, z standard normal.
 
     Replication rep draws its r = factor.shape[1] normals from the stream
-    (seed, rep) (r = K for the model's limit law), taken from streams(seed,
-    lo, hi) with one hash of the seed per chunk; with fixed chunking and
-    row-by-row projection and norms, serial and parallel runs agree bit for
-    bit and a replication's norm does not depend on reps.
+    (seed, rep) (r = K for the model's limit law), through replication_draws
+    with one hash of the seed per chunk; with row-by-row projection and norms,
+    a replication's norm depends on seed and rep only, not on reps or threads.
     """
     if field.factor.shape[0] != grid.size:
         raise ValueError("limit field lives on a different grid size")
@@ -140,9 +139,7 @@ def sample_limit_norms(
     r = rows.shape[0]
 
     def worker(lo: int, hi: int) -> np.ndarray:
-        z = np.empty((hi - lo, r))
-        for i, rng in enumerate(streams(seed, lo, hi)):
-            z[i] = rng.standard_normal(r)
+        z = replication_draws(lambda rng: rng.standard_normal(r), r, seed, lo, hi)
         return lp_norms(project(z, rows), p, grid)
 
-    return np.concatenate(run_chunked(worker, reps, pool_threads(threads, r)))
+    return np.concatenate(run_chunked(worker, reps, threads))

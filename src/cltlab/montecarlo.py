@@ -3,19 +3,18 @@
 Every estimator here is built on one block primitive, sn_block (or the
 block function sn_blocks sets up), which returns S_n on the grid for a range
 of replications. Replication rep draws everything from its own stream
-(seed, rep), taken from rng.streams, and each row of a block is computed and
-reduced on its own, so a replication's values depend neither on the thread
-count nor on how many replications run. Replications are partitioned into
-fixed-size chunks whose results are assembled in index order, so estimates
-are bit-identical for any thread count.
+(seed, rep), taken from rng.streams by replication_draws, and each row of a
+block is computed and reduced on its own, so a replication's values depend
+neither on how many replications run nor on the block they land in.
+Replications run in the calling thread, in fixed-size chunks whose results
+are assembled in index order; the threads argument of the public functions
+is checked and accepted but does not change the work or any result.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import fsum
 
@@ -29,24 +28,13 @@ from .rng import SeedLike, seed_path, streams  # noqa: F401
 # 99% two-sided normal quantile, used for every confidence interval here.
 CI_Z = 2.5758293035489004
 
-# Chunk size is fixed (not derived from the thread count) so serial and
-# parallel runs sum identical partial results in identical order.
+# Chunk size is fixed, so every run sums identical partial results in
+# identical order, and bounds the memory of one block.
 CHUNK = 256
 
 KURTOSIS_WARN = 100.0
 
 MIN_REPS = 100
-
-# Draws per replication below which a thread pool does not pay. Only the draws
-# run outside the GIL; shorter ones save less than the GIL handoffs between
-# threads cost. Two threads against serial on a 2-core machine: 0.82-0.95x at
-# 1024 draws per replication; at 2048, 1.4-1.7x for normal and MA(q) path
-# drivers and 1.03x for AR(1); 1.3-1.9x for the three from 4096 up. Exact time
-# sums take k draws per replication, so only scaled Rademacher paths (n * k
-# draws) and limit laws of rank 2048 or more reach it. Rademacher draws are
-# cheap enough that two threads stay slower on those paths (0.40x at 2048,
-# 0.61x at 4096, 0.97x at 16384) and pay from about 64k draws (1.69x).
-MIN_PARALLEL_DRAWS = 2048
 
 
 @dataclass(frozen=True)
@@ -67,21 +55,6 @@ class MomentEstimate:
 def default_n_schedule() -> tuple:
     """Doubling schedule 2^4 .. 2^12 used to probe growth in n."""
     return tuple(2**j for j in range(4, 13))
-
-
-def _thread_count(threads: int) -> int:
-    if threads < 0:
-        raise ValueError("threads must be nonnegative (0 = auto)")
-    return os.cpu_count() or 1 if threads == 0 else threads
-
-
-def pool_threads(threads: int, draws: int) -> int:
-    """The thread count to run replications of `draws` random draws each with.
-
-    Serial below MIN_PARALLEL_DRAWS; results do not depend on it either way.
-    """
-    threads = _thread_count(threads)
-    return threads if draws >= MIN_PARALLEL_DRAWS else 1
 
 
 def check_reps(reps: int) -> int:
@@ -109,12 +82,12 @@ def project(coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def time_sum_sampler(spec: FieldSpec, n: int, grid: GridSpace) -> tuple:
-    """(draw, draws): draw(rng) returns one replication's k time sums sum_i c_i X_i.
+def time_sum_sampler(spec: FieldSpec, n: int, grid: GridSpace):
+    """draw(rng): one replication's k time sums sum_i c_i X_i.
 
     c_i is 1, or spec.scales(n) under scale_decay. Every driver but scaled
-    Rademacher draws the sums from their exact law, draws = k numbers; scaled
-    Rademacher sums its path from sample_component, draws = n * k numbers in
+    Rademacher draws the sums from their exact law, k numbers; scaled
+    Rademacher sums its path from sample_component, n * k numbers in
     sample_sequence's order.
     """
     n = check_sequence(spec, n, grid)
@@ -122,27 +95,37 @@ def time_sum_sampler(spec: FieldSpec, n: int, grid: GridSpace) -> tuple:
     scales = spec.scales(n)
     exact = spec.driver.sum_sampler(n, k, scales)
     if exact is not None:
-        return exact, k
+        return exact
     path = spec.driver.sample_component
-    return (lambda rng: (path(rng, n, k) * scales).sum(axis=1)), n * k
+    return lambda rng: (path(rng, n, k) * scales).sum(axis=1)
 
 
-def sn_blocks(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike) -> tuple:
-    """(block, draws): block(lo, hi) is sn_block(spec, n, grid, seed, lo, hi).
+def replication_draws(draw, width: int, seed: SeedLike, lo: int, hi: int) -> np.ndarray:
+    """(hi - lo, width) array whose row i is draw(rng) on the stream of replication lo + i.
+
+    The one place a replication meets its stream: stream(seed_path(seed, rep))
+    from rng.streams, drawn from in draw's fixed order, so a row depends on
+    seed and rep only.
+    """
+    out = np.empty((hi - lo, width))
+    for i, rng in enumerate(streams(seed, lo, hi)):
+        out[i] = draw(rng)
+    return out
+
+
+def sn_blocks(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike):
+    """block(lo, hi) is sn_block(spec, n, grid, seed, lo, hi).
 
     The time-sum sampler (and its standard deviation) is set up once here,
-    not per block; draws is the count of random numbers one replication
-    takes, which the callers hand to pool_threads.
+    not per block.
     """
-    draw, draws = time_sum_sampler(spec, n, grid)
+    draw = time_sum_sampler(spec, n, grid)
 
     def block(lo: int, hi: int) -> np.ndarray:
-        sums = np.empty((hi - lo, spec.n_components))
-        for i, rng in enumerate(streams(seed, lo, hi)):
-            sums[i] = draw(rng)
+        sums = replication_draws(draw, spec.n_components, seed, lo, hi)
         return project(sums / math.sqrt(n), spec.basis)
 
-    return block, draws
+    return block
 
 
 def sn_block(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike, lo: int, hi: int) -> np.ndarray:
@@ -155,22 +138,17 @@ def sn_block(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike, lo: int, 
     exact one in law. The seed is hashed once per block, and the basis
     projection runs once per block.
     """
-    return sn_blocks(spec, n, grid, seed)[0](lo, hi)
+    return sn_blocks(spec, n, grid, seed)(lo, hi)
 
 
 def run_chunked(worker, reps: int, threads: int) -> list:
-    """worker(lo, hi) over fixed chunks; results always in chunk order.
+    """worker(lo, hi) over fixed chunks of CHUNK replications, in chunk order, in the calling thread.
 
-    The chunk layout never depends on the thread count, which is what makes
-    parallel runs reproduce serial results exactly.
+    threads must be nonnegative; it does not change the work or the results.
     """
-    spans = [(lo, min(lo + CHUNK, reps)) for lo in range(0, reps, CHUNK)]
-    nthreads = _thread_count(threads)
-    if nthreads <= 1 or len(spans) == 1:
-        return [worker(lo, hi) for lo, hi in spans]
-    with ThreadPoolExecutor(max_workers=nthreads) as pool:
-        futures = [pool.submit(worker, lo, hi) for lo, hi in spans]
-        return [f.result() for f in futures]
+    if threads < 0:
+        raise ValueError("threads must be nonnegative")
+    return [worker(lo, min(lo + CHUNK, reps)) for lo in range(0, reps, CHUNK)]
 
 
 def replicate_norms(
@@ -184,8 +162,8 @@ def replicate_norms(
 ) -> np.ndarray:
     """||S_n||_p over replications, one stream per replication."""
     reps = check_reps(reps)
-    block, draws = sn_blocks(spec, n, grid, seed)
-    chunks = run_chunked(lambda lo, hi: lp_norms(block(lo, hi), p, grid), reps, pool_threads(threads, draws))
+    block = sn_blocks(spec, n, grid, seed)
+    chunks = run_chunked(lambda lo, hi: lp_norms(block(lo, hi), p, grid), reps, threads)
     return np.concatenate(chunks)
 
 
@@ -246,13 +224,13 @@ def empirical_cov(
     estimate_moment(s=2, p=2) on the same seeds.
     """
     reps = check_reps(reps)
-    block, draws = sn_blocks(spec, n, grid, seed)
+    block = sn_blocks(spec, n, grid, seed)
 
     def worker(lo: int, hi: int) -> np.ndarray:
         rows = block(lo, hi)
         return rows.T @ rows
 
-    chunks = run_chunked(worker, reps, pool_threads(threads, draws))
+    chunks = run_chunked(worker, reps, threads)
     acc = chunks[0].copy()
     for part in chunks[1:]:
         acc += part

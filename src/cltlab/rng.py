@@ -1,4 +1,4 @@
-"""Deterministic stream derivation for parallel Monte Carlo.
+"""Deterministic stream derivation for Monte Carlo.
 
 Every random draw in the package comes from a PCG64DXSM generator named by a
 root seed plus an integer path (branch, n, replication). All but the last
@@ -9,8 +9,8 @@ replications costs one hash plus one state reset and advance per replication.
 An empty path is the keyed generator itself, not jumped.
 
 A replication owns one stream and draws everything it needs from it in a
-fixed order, so its values depend only on (seed, path): not on the thread
-count, the chunk it lands in, or how many replications run beside it.
+fixed order, so its values depend only on (seed, path): not on the chunk it
+lands in or how many replications run beside it.
 Golden-ratio jumps spread the substreams of one key evenly over PCG64DXSM's
 2^128 period (the first million start at least 2^107 draws apart), and
 streams with different keys are statistically independent.

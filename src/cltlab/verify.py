@@ -25,7 +25,6 @@ from .montecarlo import (
     MomentEstimate,
     check_reps,
     default_n_schedule,
-    pool_threads,
     replicate_norms,
     run_chunked,
     sn_blocks,
@@ -329,8 +328,8 @@ def projection_variance_check(
     wx = grid.weights * x
     analytic = float(wx @ limit_covariance(spec, grid).covariance @ wx)
     # reduced row by row, like lp_norms, so a replication's value does not depend on its block
-    block, draws = sn_blocks(spec, n, grid, seed)
-    chunks = run_chunked(lambda lo, hi: (block(lo, hi) * wx).sum(axis=1), reps, pool_threads(threads, draws))
+    block = sn_blocks(spec, n, grid, seed)
+    chunks = run_chunked(lambda lo, hi: (block(lo, hi) * wx).sum(axis=1), reps, threads)
     proj = np.concatenate(chunks)
     sq = proj * proj
     empirical = float(np.mean(sq))

@@ -276,6 +276,9 @@ SIM = {"field": FIELD, "grid": {"uniform": 8}, "n": 32, "p": 2.0, "reps": 150}
 CLT = {"field": FIELD, "grid": {"uniform": 8}, "p": 2.0, "reps": 100, "n_schedule": [16]}
 VB = {"field": FIELD, "grid": {"uniform": 8}, "s": 2, "v": 4.0, "reps": 100, "n_schedule": [16]}
 TAIL = {"w": 1, "s": 2, "y": [10]}
+VS = {"field": FIELD, "grid": {"uniform": 8}, "s": 2, "reps": 100, "n_schedule": [16], "beta_profile": "iid"}
+RUNNABLE = {"bounds": {"s": 2, "profile": "iid"}, "simulate": SIM, "verify-clt": CLT, "verify-bounds": VB,
+            "verify-superstrong": VS, "tail": TAIL}
 
 
 @pytest.fixture
@@ -340,6 +343,17 @@ INT_CASES = [
 def test_integer_keys_reject_non_integral_values(tmp_path, capsys, command, base, key, value):
     assert run_config(tmp_path, command, dict(base, **{key: value})) == 2
     assert_one_config_error(capsys)
+
+
+@pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+def test_negative_threads_exit_2_for_every_command(tmp_path, capsys, command):
+    assert run_config(tmp_path, command, RUNNABLE[command]) in (0, 1)
+    (tmp_path / "r.json").unlink()
+    capsys.readouterr()
+    assert run_config(tmp_path, command, RUNNABLE[command], "--threads", "-3") == 2
+    err = capsys.readouterr().err
+    assert err == "config error: 'threads' must be nonnegative, not -3\n"
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_integral_floats_accepted_for_integer_keys(tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Limit covariance assembly, jittered factorization, limit-law sampling."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -92,9 +91,7 @@ def test_model_limit_factor_is_exact_in_basis_coordinates(name, k):
     assert factor_residual(field) <= 1e-14
 
 
-def test_limit_norms_independent_of_reps_and_threads(grid16, monkeypatch):
-    # three draws per replication would run serially; force the thread pool
-    monkeypatch.setattr(montecarlo, "MIN_PARALLEL_DRAWS", 0)
+def test_limit_norms_independent_of_reps_and_threads(grid16):
     spec = FieldSpec(basis=basis_matrix("fourier", 3, grid16), driver=IidNormal(k=3))
     field = limit_covariance(spec, grid16)
     ref = sample_limit_norms(field, 2.0, grid16, 600, seed=1, threads=1)
@@ -158,9 +155,7 @@ def test_limit_rows_are_one_replication_blocks(data, size, rank, p, reps, thread
     grid = uniform_grid(size)
     factor = matrices(data.draw, size, rank)
     field = LimitField(covariance=factor @ factor.T, factor=factor, jitter=0.0)
-    # a few draws per replication would run serially; force the thread pool
-    with mock.patch.object(montecarlo, "MIN_PARALLEL_DRAWS", 0):
-        norms = sample_limit_norms(field, p, grid, reps, seed, threads)
+    norms = sample_limit_norms(field, p, grid, reps, seed, threads)
     assert norms.shape == (reps,)
     rep = data.draw(st.integers(0, reps - 1))
     for r in {0, rep, reps - 1, min(montecarlo.CHUNK, reps - 1)}:

@@ -1,7 +1,8 @@
-"""Replication engine: estimates, confidence intervals, deterministic parallelism."""
+"""Replication engine: estimates, confidence intervals, deterministic replications."""
 
 import csv
 import math
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -29,9 +30,8 @@ from cltlab import (
     uniform_grid,
     write_norms_csv,
 )
-from cltlab import montecarlo
 from cltlab.discretize import lp_norms
-from cltlab.montecarlo import CHUNK, CI_Z, MIN_REPS, pool_threads, project, sn_block, time_sum_sampler
+from cltlab.montecarlo import CHUNK, CI_Z, MIN_REPS, project, sn_block, time_sum_sampler
 from cltlab.rng import stream, streams
 
 from conftest import assert_rel
@@ -79,13 +79,9 @@ def test_serial_equals_parallel_bitwise(grid16, const_normal_field):
     assert np.array_equal(a, b)
 
 
-def test_replication_norms_independent_of_reps_and_threads(grid16, monkeypatch):
-    # exact time sums take k = 4 draws per replication and would run serially; force the thread pool
-    monkeypatch.setattr(montecarlo, "MIN_PARALLEL_DRAWS", 0)
+def test_replication_norms_independent_of_reps_and_threads(grid16):
     spec = FieldSpec(basis=basis_matrix("fourier", 4, grid16), driver=MaQ(weights=(1.0, 1.0), k=4))
     n = 1024
-    assert time_sum_sampler(spec, n, grid16)[1] == spec.n_components
-    assert pool_threads(2, spec.n_components) == 2
     ref = replicate_norms(spec, n, 2.0, grid16, 600, seed=9, threads=1)
     # 257 leaves a one-row last chunk
     for reps, threads in ((257, 1), (300, 1), (300, 2), (600, 2)):
@@ -93,15 +89,17 @@ def test_replication_norms_independent_of_reps_and_threads(grid16, monkeypatch):
         assert np.array_equal(norms, ref[:reps])
 
 
-def test_threads_follow_the_draws_of_the_sampler_used(grid16):
-    # k draws for exact time sums stay serial; a scaled Rademacher path of n * k draws uses the pool
-    basis = basis_matrix("fourier", 4, grid16)
-    exact = FieldSpec(basis=basis, driver=IidRademacher(k=4))
-    path = FieldSpec(basis=basis, driver=IidRademacher(k=4), scale_decay=0.5)
-    assert time_sum_sampler(exact, 1024, grid16)[1] == 4
-    assert time_sum_sampler(path, 1024, grid16)[1] == 4096
-    assert pool_threads(2, time_sum_sampler(exact, 1024, grid16)[1]) == 1
-    assert pool_threads(2, time_sum_sampler(path, 1024, grid16)[1]) == 2
+def test_threads_start_no_thread(grid16, monkeypatch):
+    # a scaled Rademacher path of n * k = 4096 draws per replication over three chunks
+    spec = FieldSpec(basis=basis_matrix("fourier", 4, grid16), driver=IidRademacher(k=4), scale_decay=0.5)
+    ref = replicate_norms(spec, 1024, 2.0, grid16, 2 * CHUNK + 1, seed=3, threads=1)
+
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    norms = replicate_norms(spec, 1024, 2.0, grid16, 2 * CHUNK + 1, seed=3, threads=2)
+    assert np.array_equal(norms, ref)
 
 
 DRIVERS = [IidNormal(sigma=2.0, k=3), IidRademacher(k=3), MaQ(weights=(1.0, 2.0, 1.0), k=3), Ar1(rho=0.7, k=3)]
@@ -110,7 +108,7 @@ DRIVER_IDS = ["iid_normal", "iid_rademacher", "ma_q", "ar1"]
 
 def one_replication(spec, n, grid, seed, rep):
     """Replication rep's row computed on its own: its k time sums from stream(seed_path(seed, rep)), projected."""
-    sums = time_sum_sampler(spec, n, grid)[0](stream(seed_path(seed, rep)))
+    sums = time_sum_sampler(spec, n, grid)(stream(seed_path(seed, rep)))
     return project(sums[None, :] / math.sqrt(n), spec.basis)[0]
 
 
@@ -121,8 +119,8 @@ def test_block_rows_match_simulate_sn(grid16, driver, scale_decay):
     lo, hi = CHUNK - 5, CHUNK + 7
     block = sn_block(spec, 48, grid16, 11, lo, hi)
     assert block.shape == (hi - lo, grid16.size)
-    path = time_sum_sampler(spec, 48, grid16)[1] == 48 * spec.n_components
-    # only scaled Rademacher keeps the path sampler
+    # only scaled Rademacher draws the path
+    path = spec.driver.sum_sampler(48, spec.n_components, spec.scales(48)) is None
     assert path == (isinstance(driver, IidRademacher) and scale_decay is not None)
     for i, rep in enumerate(range(lo, hi)):
         # a row does not depend on the block it is computed in
@@ -150,8 +148,8 @@ LAW_CASES = [(d, i, sd) for d, i in zip(DRIVERS, DRIVER_IDS) for sd in (None, 0.
 def test_exact_time_sums_agree_with_path_sums_in_law(grid16, driver, scale_decay):
     n, reps = 64, 4000
     spec = FieldSpec(basis=basis_matrix("fourier", 3, grid16), driver=driver, scale_decay=scale_decay)
-    draw, draws = time_sum_sampler(spec, n, grid16)
-    assert draws == spec.n_components
+    assert spec.driver.sum_sampler(n, spec.n_components, spec.scales(n)) is not None
+    draw = time_sum_sampler(spec, n, grid16)
     exact = np.concatenate([draw(rng) for rng in streams(5, 0, reps // spec.n_components)])
     path = _path_sums(driver, n, spec.scales(n), exact.size, 6)
     assert ks_2samp(exact, path).pvalue > 1e-3
@@ -201,7 +199,7 @@ def test_exact_sum_variance_against_oracle(grid16, driver):
     for n in (1, 2, 3, 16, 4096):
         for scale_decay in (None, 0.5):
             spec = FieldSpec(basis=basis_matrix("const", 1, grid16), driver=driver, scale_decay=scale_decay)
-            sampler = time_sum_sampler(spec, n, grid16)[0]
+            sampler = time_sum_sampler(spec, n, grid16)
             exact = _oracle_variance(driver, np.ones(n) if scale_decay is None else spec.scales(n))
             assert_rel(sampler.sd**2, exact, 1e-13, f"n={n} scale_decay={scale_decay}")
 
@@ -247,6 +245,13 @@ def test_engine_rows_are_one_replication_blocks(driver, scale_decay, n, seed, lo
 def test_replicate_norms_reps_floor(const_normal_field, grid16):
     with pytest.raises(ValueError):
         replicate_norms(const_normal_field, 8, 2.0, grid16, MIN_REPS - 1, seed=0)
+
+
+def test_negative_threads_raise(const_normal_field, grid16):
+    with pytest.raises(ValueError, match="threads must be nonnegative"):
+        replicate_norms(const_normal_field, 8, 2.0, grid16, MIN_REPS, seed=0, threads=-1)
+    with pytest.raises(ValueError, match="threads must be nonnegative"):
+        empirical_cov(const_normal_field, 8, grid16, MIN_REPS, seed=0, threads=-1)
 
 
 def test_empirical_cov_trace_identity(grid16, const_normal_field):
