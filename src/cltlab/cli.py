@@ -41,7 +41,7 @@ from .bounds import (
 )
 from .discretize import grid_from_config
 from .fieldgen import field_from_config
-from .limitlaw import DegenerateCovarianceError, factorize_covariance, limit_covariance
+from .limitlaw import DegenerateCovarianceError, LimitField, factorize_covariance, limit_covariance
 from .mixing import MDependent, MixingProfile, profile_from_dict, profile_to_dict
 from .montecarlo import replicate_norms, summarize_norm_powers, write_norms_csv
 from .verify import verify_clt, verify_moment_bound, verify_superstrong
@@ -312,6 +312,8 @@ def _cmd_simulate(c: argparse.Namespace) -> Tuple[dict, int, list]:
 
 
 def _cmd_verify_clt(c: argparse.Namespace) -> Tuple[dict, int, list]:
+    if c.limit_covariance_csv is not None and c.limit_covariance_scale is not None:
+        raise ConfigError("give limit_covariance_csv or limit_covariance_scale, not both")
     spec = field_from_config(c.field, c.grid)
     base = limit_covariance(spec, c.grid)
     limit_field = base
@@ -324,7 +326,8 @@ def _cmd_verify_clt(c: argparse.Namespace) -> Tuple[dict, int, list]:
         scale = c.limit_covariance_scale
         if not (scale > 0.0 and math.isfinite(scale)):
             raise ConfigError("limit_covariance_scale must be positive and finite")
-        limit_field = factorize_covariance(base.covariance * scale)
+        # scaling R by c scales its exact factor by sqrt(c): nothing to factor
+        limit_field = LimitField(covariance=base.covariance * scale, factor=base.factor * math.sqrt(scale))
         injected = f"scale:{scale:g}"
     if c.dump_covariance:
         np.savetxt(c.dump_covariance, base.covariance, delimiter=",")

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
-from math import fsum
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ class GridSpace:
         wts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
-        object.__setattr__(self, "total_mass", fsum(wts.tolist()))
+        object.__setattr__(self, "total_mass", math.fsum(wts.tolist()))
 
     @property
     def size(self) -> int:
@@ -105,8 +105,8 @@ def lp_norms(matrix: np.ndarray, p: float, grid: GridSpace) -> np.ndarray:
     bit for bit whatever the other rows are; lp_norm is the one-row case.
     """
     p = float(p)
-    if p < 1.0:
-        raise ValueError("L^p norms require p >= 1")
+    if not (1.0 <= p < math.inf):
+        raise ValueError(f"L^p norms require a finite p >= 1, not {p}")
     # C order keeps each row's reduction contiguous, whatever layout came in
     mat = np.ascontiguousarray(matrix, dtype=float)
     if mat.ndim != 2 or mat.shape[1] != grid.size:

@@ -6,8 +6,9 @@ components are independent, Lambda = lrv I, so the model's limit field is
 S = sqrt(lrv) z^T basis with z standard normal in R^K: it is sampled in basis
 coordinates through the exact factor sqrt(lrv) basis^T, whatever the rank of
 R. A covariance given directly (an injected, deliberately wrong limit law) is
-factored by Cholesky with an escalating jitter schedule and a pivoted
-fallback; degeneracy raises, it never produces silent NaNs.
+factored by one symmetric eigendecomposition, keeping the eigenvalues above
+numpy's matrix-rank tolerance; an indefinite matrix or a factor that does not
+reproduce it raises, it never produces silent NaNs.
 """
 
 from __future__ import annotations
@@ -23,43 +24,34 @@ from .montecarlo import project, replication_draws, run_chunked
 # stream stays importable here for the tracing hooks in perfbench/tracing.py
 from .rng import SeedLike, stream  # noqa: F401
 
-JITTERS = (0.0, 1e-12, 1e-10, 1e-8)
-
-# Acceptance threshold for ||F F^T - (R + jitter I)||_F relative to ||R + jitter I||_F.
+# Acceptance threshold for ||F F^T - R||_F relative to ||R||_F.
 FACTOR_RTOL = 1e-8
 
 # Eigenvalues below -1e-10 * max diagonal mean the matrix is indefinite, which
-# jitter must not paper over.
+# the factorization must not paper over.
 EIG_RTOL = 1e-10
 
 
 class DegenerateCovarianceError(Exception):
-    """The covariance could not be factored within the jitter schedule."""
+    """The covariance is indefinite, or its factor does not reproduce it."""
 
 
 @dataclass(frozen=True)
 class LimitField:
-    """Covariance R on the grid and a (grid x r) factor F with F F^T = R + jitter I."""
+    """Covariance R on the grid and a (grid x r) factor F with F F^T = R."""
 
     covariance: np.ndarray
     factor: np.ndarray
-    jitter: float
-
-
-def _factor_error(factor: np.ndarray, target: np.ndarray) -> float:
-    denom = float(np.linalg.norm(target))
-    if denom == 0.0:
-        return float(np.linalg.norm(factor @ factor.T))
-    return float(np.linalg.norm(factor @ factor.T - target)) / denom
 
 
 def factorize_covariance(cov: np.ndarray) -> LimitField:
-    """Lower-triangular-style factor F with F F^T = cov + jitter I.
+    """Factor F = V sqrt(L) of cov = V L V^T, one column per eigenvalue kept.
 
-    Tries plain Cholesky over the jitter schedule, then a pivoted Cholesky at
-    the top jitter (the factor is then row-permuted lower triangular). Raises
+    The eigenvalues kept are those above numpy's matrix_rank tolerance,
+    max eigenvalue * size * eps, so F has as many columns as cov has rank and
+    the result does not depend on the matrix's units. Raises
     DegenerateCovarianceError when the matrix is indefinite beyond tolerance or
-    no candidate reproduces the target within 1e-8 relative Frobenius error.
+    F F^T misses cov by more than FACTOR_RTOL relative Frobenius error.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] == 0:
@@ -70,49 +62,28 @@ def factorize_covariance(cov: np.ndarray) -> LimitField:
         raise ValueError("covariance must be symmetric")
     cov = (cov + cov.T) / 2.0
     if not cov.any():
-        return LimitField(covariance=cov, factor=np.zeros_like(cov), jitter=0.0)
-    eye = np.eye(cov.shape[0])
-    checked_spectrum = False
-    for jitter in JITTERS:
-        target = cov + jitter * eye
-        try:
-            factor = np.linalg.cholesky(target)
-        except np.linalg.LinAlgError:
-            if not checked_spectrum:
-                floor = -EIG_RTOL * float(np.diag(cov).max())
-                if float(np.linalg.eigvalsh(cov).min()) < floor:
-                    raise DegenerateCovarianceError(
-                        "covariance is indefinite beyond tolerance; refusing to jitter it away"
-                    )
-                checked_spectrum = True
-            continue
-        if _factor_error(factor, target) <= FACTOR_RTOL:
-            return LimitField(covariance=cov, factor=factor, jitter=jitter)
-    # scipy only here, so importing the package does not load it
-    from scipy.linalg.lapack import dpstrf
-
-    jitter = JITTERS[-1]
-    target = cov + jitter * eye
-    c, piv, rank, _info = dpstrf(target, lower=1)
-    tri = np.tril(c)
-    tri[:, rank:] = 0.0
-    factor = np.empty_like(tri)
-    factor[piv - 1] = tri
-    if _factor_error(factor, target) <= FACTOR_RTOL:
-        return LimitField(covariance=cov, factor=factor, jitter=jitter)
-    raise DegenerateCovarianceError(
-        "covariance factorization failed at max jitter "
-        f"{jitter:g}; the matrix is numerically degenerate"
-    )
+        return LimitField(covariance=cov, factor=np.zeros_like(cov))
+    lam, vec = np.linalg.eigh(cov)
+    if lam[0] < -EIG_RTOL * float(np.diag(cov).max()):
+        raise DegenerateCovarianceError("covariance is indefinite beyond tolerance")
+    keep = lam > lam[-1] * cov.shape[0] * np.finfo(float).eps
+    factor = vec[:, keep] * np.sqrt(lam[keep])
+    error = float(np.linalg.norm(factor @ factor.T - cov)) / float(np.linalg.norm(cov))
+    if not error <= FACTOR_RTOL:
+        raise DegenerateCovarianceError(
+            f"covariance factor misses the matrix by {error:.3g} relative error; "
+            "the matrix is numerically degenerate"
+        )
+    return LimitField(covariance=cov, factor=factor)
 
 
 def limit_covariance(spec: FieldSpec, grid: GridSpace) -> LimitField:
-    """The limit covariance of S_n on the grid with its exact (grid x K) factor, no jitter."""
+    """The limit covariance of S_n on the grid with its exact (grid x K) factor sqrt(lrv) basis^T."""
     if spec.basis.shape[1] != grid.size:
         raise ValueError("basis was evaluated on a different grid size")
     cov = spec.basis.T @ long_run_covariance(spec) @ spec.basis
     factor = math.sqrt(spec.driver.long_run_variance()) * spec.basis.T
-    return LimitField(covariance=cov, factor=factor, jitter=0.0)
+    return LimitField(covariance=cov, factor=factor)
 
 
 def sample_limit_norms(

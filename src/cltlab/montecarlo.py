@@ -169,6 +169,8 @@ def replicate_norms(
 
 def summarize_norm_powers(norms: np.ndarray, n: int, s: float, p: float) -> MomentEstimate:
     """CI assembly for mean(||S_n||_p^s), with a heavy-tail flag via kurtosis."""
+    if not (1.0 <= s < math.inf):
+        raise ValueError(f"moment power s must be finite and at least 1, not {s}")
     powered = np.asarray(norms, dtype=float) ** s
     reps = powered.size
     value = float(np.mean(powered))
@@ -203,8 +205,6 @@ def estimate_moment(
     threads: int = 1,
 ) -> MomentEstimate:
     """Monte Carlo estimate of E ||S_n||_p^s with a 99% CI."""
-    if s < 1.0:
-        raise ValueError("requires s >= 1")
     norms = replicate_norms(spec, n, p, grid, reps, seed, threads)
     return summarize_norm_powers(norms, n, s, p)
 

@@ -190,13 +190,16 @@ def test_verify_clt_wrong_limit_exits_1(tmp_path, capsys):
     assert "overridden" in text and "converged: False" in text
 
 
-def test_verify_clt_covariance_csv_round_trip(tmp_path, capsys):
+@pytest.mark.parametrize("sigma", [1.0, 1e-6])
+def test_verify_clt_covariance_csv_round_trip(tmp_path, capsys, sigma):
+    # the dumped model covariance, injected back, is the same limit law in any units
     dump = str(tmp_path / "cov.csv")
+    field = {"basis": FIELD["basis"], "driver": {"iid_normal": {"sigma": sigma, "k": 1}}}
     cfg = write_config(
         tmp_path,
         "clt.json",
         {
-            "field": FIELD,
+            "field": field,
             "grid": {"uniform": 8},
             "p": 2.0,
             "reps": 200,
@@ -212,6 +215,32 @@ def test_verify_clt_covariance_csv_round_trip(tmp_path, capsys):
     )
     capsys.readouterr()
     assert code == 0
+
+
+def test_verify_clt_unit_scale_is_the_model_limit_law(tmp_path, capsys):
+    # scale 1 multiplies the model's exact factor by 1, so every draw and verdict is the
+    # same; p = 3, because an L^2 norm on an orthonormal basis hides a rotated factor
+    field = {"basis": {"name": "fourier", "k": 3}, "driver": {"iid_normal": {"sigma": 1.0, "k": 3}}}
+    cfg = write_config(
+        tmp_path,
+        "clt.json",
+        {"field": field, "grid": {"uniform": 8}, "p": 3.0, "reps": 200, "n_schedule": [16, 32], "seed": 4},
+    )
+    plain, scaled = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    assert main(["verify-clt", "--config", cfg, "--out", plain]) == 0
+    assert main(["verify-clt", "--config", cfg, "--limit-covariance-scale", "1", "--out", scaled]) == 0
+    capsys.readouterr()
+    assert load_report(plain)["results"]["summary"] == load_report(scaled)["results"]["summary"]
+    assert load_report(scaled)["results"]["limit_override"] == "scale:1"
+
+
+def test_verify_clt_csv_and_scale_together_exit_2(tmp_path, capsys):
+    dump = tmp_path / "cov.csv"
+    np.savetxt(dump, np.eye(8), delimiter=",")
+    code = run_config(tmp_path, "verify-clt", dict(CLT, limit_covariance_csv=str(dump), limit_covariance_scale=9.0))
+    assert code == 2
+    assert_one_config_error(capsys)
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_verify_clt_indefinite_covariance_csv_exits_2(tmp_path, capsys):
@@ -343,6 +372,24 @@ INT_CASES = [
 def test_integer_keys_reject_non_integral_values(tmp_path, capsys, command, base, key, value):
     assert run_config(tmp_path, command, dict(base, **{key: value})) == 2
     assert_one_config_error(capsys)
+
+
+# moment powers s and norm orders p must be finite and at least 1 (JSON reads NaN and Infinity)
+POWER_CASES = [
+    ("simulate", SIM, "s", -1.0),
+    ("simulate", SIM, "s", math.nan),
+    ("simulate", SIM, "s", math.inf),
+    ("simulate", SIM, "p", math.nan),
+    ("simulate", SIM, "p", math.inf),
+    ("verify-clt", dict(CLT, limit_covariance_scale=9.0), "p", math.inf),
+]
+
+
+@pytest.mark.parametrize("command,base,key,value", POWER_CASES, ids=[f"{c}-{k}-{v!r}" for c, _, k, v in POWER_CASES])
+def test_powers_must_be_finite_and_at_least_one(tmp_path, capsys, command, base, key, value):
+    assert run_config(tmp_path, command, dict(base, **{key: value})) == 2
+    assert_one_config_error(capsys)
+    assert not (tmp_path / "r.json").exists()
 
 
 @pytest.mark.parametrize("command", sorted(cli.COMMANDS))

@@ -1,4 +1,4 @@
-"""Limit covariance assembly, jittered factorization, limit-law sampling."""
+"""Limit covariance assembly, eigendecomposition of injected covariances, limit-law sampling."""
 
 import math
 
@@ -21,31 +21,20 @@ from cltlab import (
 )
 from cltlab import montecarlo
 from cltlab.discretize import lp_norms
-from cltlab.limitlaw import FACTOR_RTOL, JITTERS, LimitField
+from cltlab.limitlaw import FACTOR_RTOL, LimitField
 from cltlab.rng import seed_path, stream
 
 from conftest import assert_rel
 
 
 def factor_residual(field):
-    target = field.covariance + field.jitter * np.eye(field.covariance.shape[0])
-    return float(
-        np.linalg.norm(field.factor @ field.factor.T - target) / np.linalg.norm(target)
-    )
+    cov = field.covariance
+    return float(np.linalg.norm(field.factor @ field.factor.T - cov) / np.linalg.norm(cov))
 
 
 def test_identity_factors_without_jitter():
     field = factorize_covariance(np.eye(3))
-    assert field.jitter == 0.0
-    assert np.allclose(field.factor, np.eye(3))
-
-
-def test_rank_one_all_ones_needs_jitter_but_factors():
-    cov = np.ones((4, 4))
-    field = factorize_covariance(cov)
-    assert field.jitter in JITTERS
-    assert factor_residual(field) <= FACTOR_RTOL
-    assert np.array_equal(field.covariance, cov)
+    assert np.allclose(np.abs(field.factor), np.eye(3))
 
 
 def test_ar1_const_basis_covariance_is_constant_three(grid16):
@@ -82,11 +71,10 @@ def test_limit_sampling_serial_equals_parallel(grid16):
 
 @pytest.mark.parametrize("name,k", [("const", 1), ("fourier", 3), ("fourier", 16)])
 def test_model_limit_factor_is_exact_in_basis_coordinates(name, k):
-    # R has rank k on a 64-point grid; its factor sqrt(lrv) basis^T needs no jitter
+    # R has rank k on a 64-point grid; its factor sqrt(lrv) basis^T has k columns
     grid = uniform_grid(64)
     spec = FieldSpec(basis=basis_matrix(name, k, grid), driver=MaQ(weights=(1.0, 1.0), k=k))
     field = limit_covariance(spec, grid)
-    assert field.jitter == 0.0
     assert field.factor.shape == (64, k)
     assert factor_residual(field) <= 1e-14
 
@@ -113,16 +101,37 @@ def matrices(draw, rows, cols):
     return np.array(draw(st.lists(st.lists(ENTRIES, min_size=cols, max_size=cols), min_size=rows, max_size=rows)))
 
 
-@settings(max_examples=100, deadline=None)
-@given(data=st.data(), n=st.integers(1, 6), rank=st.integers(1, 6))
-def test_factorize_reproduces_psd_matrices(data, n, rank):
-    # A A^T is PSD, and singular when rank < n
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), rank=st.integers(1, 6), exponent=st.floats(-100.0, 100.0))
+def test_factorize_reproduces_psd_matrices(data, n, rank, exponent):
+    # c A A^T is PSD, singular when rank < n, in units from 1e-100 to 1e100;
+    # the factor must reproduce the matrix itself, whatever its scale
     a = matrices(data.draw, n, rank)
-    cov = a @ a.T
+    # keep c A A^T clear of the subnormal range, where no factor can be accurate
+    assume(np.abs(a).max() >= 1e-3)
+    cov = 10.0**exponent * (a @ a.T)
     field = factorize_covariance(cov)
-    assert field.jitter in JITTERS and np.all(np.isfinite(field.factor))
-    target = cov + field.jitter * np.eye(n)
-    assert np.linalg.norm(field.factor @ field.factor.T - target) <= FACTOR_RTOL * np.linalg.norm(target)
+    assert np.all(np.isfinite(field.factor)) and field.factor.shape[1] <= min(n, rank)
+    assert factor_residual(field) <= FACTOR_RTOL
+
+
+@pytest.mark.parametrize("scale", [1e-14, 1e-12, 1.0, 1e10])
+def test_rank_one_all_ones_factors_at_every_scale(scale):
+    cov = scale * np.ones((8, 8))
+    field = factorize_covariance(cov)
+    assert field.factor.shape == (8, 1)
+    assert factor_residual(field) <= FACTOR_RTOL
+    assert np.array_equal(field.covariance, cov)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e8])
+def test_ma1_limit_covariance_factors_to_its_rank(scale):
+    # clt-golden's MA(1) shape: rank 16 on 64 points, so the factor has 16 columns
+    grid = uniform_grid(64)
+    spec = FieldSpec(basis=basis_matrix("fourier", 16, grid), driver=MaQ(weights=(1.0, 1.0), k=16))
+    field = factorize_covariance(scale * limit_covariance(spec, grid).covariance)
+    assert field.factor.shape == (64, 16)
+    assert factor_residual(field) <= FACTOR_RTOL
 
 
 @settings(max_examples=100, deadline=None)
@@ -154,7 +163,7 @@ def one_limit_replication(field, p, grid, seed, rep):
 def test_limit_rows_are_one_replication_blocks(data, size, rank, p, reps, threads, seed):
     grid = uniform_grid(size)
     factor = matrices(data.draw, size, rank)
-    field = LimitField(covariance=factor @ factor.T, factor=factor, jitter=0.0)
+    field = LimitField(covariance=factor @ factor.T, factor=factor)
     norms = sample_limit_norms(field, p, grid, reps, seed, threads)
     assert norms.shape == (reps,)
     rep = data.draw(st.integers(0, reps - 1))
@@ -164,7 +173,6 @@ def test_limit_rows_are_one_replication_blocks(data, size, rank, p, reps, thread
 
 def test_zero_covariance_gives_zero_factor(grid16):
     field = factorize_covariance(np.zeros((3, 3)))
-    assert field.jitter == 0.0
     assert np.array_equal(field.factor, np.zeros((3, 3)))
     g3 = uniform_grid(3)
     norms = sample_limit_norms(field, 2.0, g3, 50, seed=0)
@@ -191,23 +199,12 @@ def test_sample_limit_norms_validation(grid16):
         sample_limit_norms(field, 2.0, grid16, 0, seed=0)
 
 
-def test_pivoted_fallback_on_structured_rank_deficiency():
-    # rank-2 PSD matrix built from two directions; plain Cholesky fails at
-    # every jitter only if the matrix is larger and exactly singular in a way
-    # the jitter fixes, so here just confirm the result is a valid factor
-    u = np.array([1.0, 1.0, 0.0, -1.0])
-    v = np.array([0.0, 1.0, 1.0, 1.0])
-    cov = np.outer(u, u) + np.outer(v, v)
-    field = factorize_covariance(cov)
-    assert factor_residual(field) <= FACTOR_RTOL
-
-
 def test_gaussian_limit_second_moment_matches_weighted_trace(grid16):
     spec = FieldSpec(basis=basis_matrix("fourier", 3, grid16), driver=IidNormal(k=3))
     field = limit_covariance(spec, grid16)
     norms = sample_limit_norms(field, 2.0, grid16, 6000, seed=21)
     second = float(np.mean(norms**2))
     trace = float(np.sum(grid16.weights * np.diag(field.covariance)))
-    # E||S||_2^2 = integral of Var S(t) = weighted trace (jitter shifts it by <= 1e-8)
+    # E||S||_2^2 = integral of Var S(t) = weighted trace
     se = float(np.std(norms**2, ddof=1)) / math.sqrt(norms.size)
     assert abs(second - trace) < 4.0 * se + 1e-7
