@@ -5,18 +5,21 @@ moving average, Gaussian AR(1) with stationary start), replicated over K
 independent components and combined with basis functions evaluated on a grid.
 A driver's sample_component(rng, n) returns one component path of length n;
 sample_component(rng, n, k) returns k of them as a (k x n) array, drawing
-every time step of component 0 before component 1's. One replication draws
-all its components from one stream that way, rng.stream at its seed path (a
+every time step of component 0 before component 1's. sample_sequence draws a
+replication that way from one stream, rng.stream at its seed path (a
 golden-ratio jump of a SeedSequence-keyed PCG64DXSM), so the same seed path
-gives the same sequence bit for bit, whichever block of replications it is in.
+gives the same sequence bit for bit.
 
-A driver's sum_sampler(n, k, c) samples the k time sums sum_i c_i X_i of one
-replication from their exact law, one draw per component, without the path:
-each sum is a fixed linear combination of independent innovations, so a
-Gaussian driver's sum is normal with variance the sum of the squared
+A driver's time_sum_law(n, c) is the law of the time sums sum_i c_i X_i of
+its components, as a small frozen object: law.draw(rng, k) returns one
+replication's k standard variates, and the sums are those variates times
+law.sd. A Gaussian driver's sum is a fixed linear combination of independent
+innovations, so it is Normal(sd) with sd^2 the sum of the squared
 coefficients (Brockwell and Davis, Time Series: Theory and Methods, 7.1),
-and an unweighted Rademacher sum is 2 Binomial(n, 1/2) - n. Weighted
-Rademacher sums have no such law; that sum_sampler returns None.
+one standard normal per component. The Rademacher driver's law is
+Rademacher(n, c) with sd 1: an unweighted sum is 2 Binomial(n, 1/2) - n, one
+draw per component; a weighted one has no such law and draws its path, in
+sample_component's order.
 """
 
 from __future__ import annotations
@@ -25,16 +28,12 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from math import fsum
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from .discretize import GridSpace, check_numbers, is_real
 from .rng import SeedLike, stream
-
-
-# Draws one replication's k time sums from the generator it is given.
-SumSampler = Callable[[np.random.Generator], np.ndarray]
 
 
 def _shape(n: int, k: Optional[int]) -> tuple:
@@ -76,15 +75,51 @@ def _ar1_filter(x: np.ndarray, rho: float, start: Optional[float] = None) -> np.
     return np.fromiter(ys if start is None else islice(ys, 1, None), float, x.size)
 
 
+def _signs(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Independent +-1 floats with equal probability, one integer draw each, in C order."""
+    return rng.integers(0, 2, size=shape).astype(float) * 2.0 - 1.0
+
+
 @dataclass(frozen=True)
-class NormalSums:
-    """A Gaussian driver's SumSampler: k independent N(0, sd^2) sums, one standard normal each."""
+class Normal:
+    """Time sums that are independent N(0, sd^2): draw gives their k standard normals."""
 
     sd: float
-    k: int
 
-    def __call__(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.standard_normal(self.k) * self.sd
+    def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        return rng.standard_normal(k)
+
+
+@dataclass(frozen=True, eq=False)
+class Rademacher:
+    """Time sums sum_i c_i eps_i over n Rademacher signs, drawn whole, so sd is 1.
+
+    Unweighted (c None), a sum is 2 Binomial(n, 1/2) - n. Weighted, draw takes
+    the k x n signs of the path in IidRademacher.sample_component's order and
+    sums them with weights c.
+    """
+
+    n: int
+    c: Optional[np.ndarray] = None
+    sd = 1.0
+
+    def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        if self.c is None:
+            return 2.0 * rng.binomial(self.n, 0.5, k) - self.n
+        return (_signs(rng, (k, self.n)) * self.c).sum(axis=1)
+
+
+TimeSumLaw = Union[Normal, Rademacher]
+
+
+def _check_variances(driver) -> None:
+    """Raise ValueError unless the driver's marginal and long-run variances are finite floats."""
+    try:
+        finite = math.isfinite(driver.marginal_variance) and math.isfinite(driver.long_run_variance())
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError("the driver's marginal and long-run variances must be finite floats")
 
 
 def abs_normal_moment(v: float) -> float:
@@ -107,6 +142,7 @@ class IidNormal:
         if int(self.k) != self.k or self.k < 1:
             raise ValueError("component count k must be a positive integer")
         object.__setattr__(self, "k", int(self.k))
+        _check_variances(self)
 
     is_gaussian = True
 
@@ -123,9 +159,9 @@ class IidNormal:
     def sample_component(self, rng: np.random.Generator, n: int, k: Optional[int] = None) -> np.ndarray:
         return rng.standard_normal(_shape(n, k)) * self.sigma
 
-    def sum_sampler(self, n: int, k: int, scales: Optional[np.ndarray] = None) -> NormalSums:
+    def time_sum_law(self, n: int, scales: Optional[np.ndarray] = None) -> Normal:
         """N(0, sigma^2 sum_i c_i^2) per component."""
-        return NormalSums(self.sigma * _l2(_weights(n, scales)), k)
+        return Normal(self.sigma * _l2(_weights(n, scales)))
 
 
 @dataclass(frozen=True)
@@ -152,13 +188,11 @@ class IidRademacher:
         return 1.0
 
     def sample_component(self, rng: np.random.Generator, n: int, k: Optional[int] = None) -> np.ndarray:
-        return rng.integers(0, 2, size=_shape(n, k)).astype(float) * 2.0 - 1.0
+        return _signs(rng, _shape(n, k))
 
-    def sum_sampler(self, n: int, k: int, scales: Optional[np.ndarray] = None) -> Optional[SumSampler]:
-        """2 Binomial(n, 1/2) - n per component; None under scales, which only the path sampler draws."""
-        if scales is not None:
-            return None
-        return lambda rng: 2.0 * rng.binomial(n, 0.5, k) - n
+    def time_sum_law(self, n: int, scales: Optional[np.ndarray] = None) -> Rademacher:
+        """sum_i c_i eps_i per component: 2 Binomial(n, 1/2) - n unscaled, the weighted path under scales."""
+        return Rademacher(n, scales)
 
 
 @dataclass(frozen=True)
@@ -193,6 +227,7 @@ class MaQ:
             raise ValueError("every stored weight (shape times sigma / norm) must be zero or a finite normal float")
         object.__setattr__(self, "weights", tuple(w.tolist()))
         object.__setattr__(self, "k", int(self.k))
+        _check_variances(self)
 
     is_gaussian = True
 
@@ -221,13 +256,13 @@ class MaQ:
             out += self.weights[j] * eps[..., q - j : q - j + n]
         return out
 
-    def sum_sampler(self, n: int, k: int, scales: Optional[np.ndarray] = None) -> NormalSums:
+    def time_sum_law(self, n: int, scales: Optional[np.ndarray] = None) -> Normal:
         """Normal per component; innovation eps_m enters the sum with weight sum_j c_{m-q+j} w_j.
 
         Those are the entries of np.convolve(c, weights reversed), so weights
         (1, -1) give variance O(1), with no n - (n - 1) cancellation.
         """
-        return NormalSums(_l2(np.convolve(_weights(n, scales), self.weights[::-1])), k)
+        return Normal(_l2(np.convolve(_weights(n, scales), self.weights[::-1])))
 
 
 @dataclass(frozen=True)
@@ -252,6 +287,7 @@ class Ar1:
         if int(self.k) != self.k or self.k < 1:
             raise ValueError("component count k must be a positive integer")
         object.__setattr__(self, "k", int(self.k))
+        _check_variances(self)
 
     is_gaussian = True
 
@@ -274,7 +310,7 @@ class Ar1:
             row[:] = _ar1_filter(row, self.rho, start)
         return out
 
-    def sum_sampler(self, n: int, k: int, scales: Optional[np.ndarray] = None) -> NormalSums:
+    def time_sum_law(self, n: int, scales: Optional[np.ndarray] = None) -> Normal:
         """Normal per component, from the start value's and the innovations' weights.
 
         X_i = rho^i X_0 + sum_{j<=i} rho^(i-j) e_j, so e_j enters the sum with
@@ -285,7 +321,7 @@ class Ar1:
         """
         b = _ar1_filter(_weights(n, scales)[::-1], self.rho)[::-1]
         start = self.rho * b[0] / math.sqrt((1.0 - self.rho) * (1.0 + self.rho))
-        return NormalSums(self.sigma_innov * _l2(np.append(start, b)), k)
+        return Normal(self.sigma_innov * _l2(np.append(start, b)))
 
 
 def ar1_unit_marginal(rho: float, k: int = 1) -> Ar1:
@@ -391,9 +427,10 @@ def sample_sequence(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike) ->
     Every component and time step is drawn from the one stream rng.stream(seed),
     component after component, so two calls with the same seed path agree bit
     for bit; with seed = seed_path(root, rep) that is the stream
-    montecarlo.sn_block draws replication rep from. sn_block draws only the
-    time sums from it, so their paths match only where it sums the path
-    (scaled Rademacher); elsewhere this is its reference in law.
+    montecarlo.sn_blocks draws replication rep from. sn_blocks draws only the
+    time sums from it, through the driver's time_sum_law, so their paths match
+    only where that law sums the path (scaled Rademacher); elsewhere this is
+    its reference in law.
     """
     n = check_sequence(spec, n, grid)
     x = spec.driver.sample_component(stream(seed), n, spec.n_components)

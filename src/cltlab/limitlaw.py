@@ -9,6 +9,10 @@ R. A covariance given directly (an injected, deliberately wrong limit law) is
 factored by one symmetric eigendecomposition, keeping the eigenvalues above
 numpy's matrix-rank tolerance; an indefinite matrix or a factor that does not
 reproduce it raises, it never produces silent NaNs.
+
+A replication of the limit field is the n = 1 field of the time-sum law
+Normal(1.0) on the factor's columns (montecarlo.field_blocks): r standard
+normals from its own stream, projected onto the columns.
 """
 
 from __future__ import annotations
@@ -19,13 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discretize import GridSpace, lp_norms
-from .fieldgen import FieldSpec, long_run_covariance
-from .montecarlo import project, replication_draws, run_chunked
+from .fieldgen import FieldSpec, Normal, long_run_covariance
+from .montecarlo import field_blocks, run_chunked
 # stream stays importable here for the tracing hooks in perfbench/tracing.py
 from .rng import SeedLike, stream  # noqa: F401
 
 # Acceptance threshold for ||F F^T - R||_F relative to ||R||_F.
 FACTOR_RTOL = 1e-8
+
+# Largest |cov - cov^T| entry accepted, relative to the largest |cov| entry.
+SYMMETRY_RTOL = 1e-12
 
 # Eigenvalues below -1e-10 * max diagonal mean the matrix is indefinite, which
 # the factorization must not paper over.
@@ -58,7 +65,8 @@ def factorize_covariance(cov: np.ndarray) -> LimitField:
         raise ValueError("covariance must be a square matrix")
     if not np.all(np.isfinite(cov)):
         raise ValueError("covariance entries must be finite")
-    if not np.allclose(cov, cov.T, rtol=0.0, atol=1e-12 * max(1.0, float(np.abs(cov).max()))):
+    # relative to the matrix alone, so the check does not depend on its units
+    if float(np.abs(cov - cov.T).max()) > SYMMETRY_RTOL * float(np.abs(cov).max()):
         raise ValueError("covariance must be symmetric")
     cov = (cov + cov.T) / 2.0
     if not cov.any():
@@ -97,20 +105,14 @@ def sample_limit_norms(
     """||S||_p over replications of the limit field S = factor z, z standard normal.
 
     Replication rep draws its r = factor.shape[1] normals from the stream
-    (seed, rep) (r = K for the model's limit law), through replication_draws
-    with one hash of the seed per chunk; with row-by-row projection and norms,
-    a replication's norm depends on seed and rep only, not on reps or threads.
+    (seed, rep) (r = K for the model's limit law), through
+    montecarlo.field_blocks with the law Normal(1.0) at n = 1, whose scaling
+    by 1.0 / sqrt(1) is exact; with row-by-row projection and norms, a
+    replication's norm depends on seed and rep only, not on reps or threads.
     """
     if field.factor.shape[0] != grid.size:
         raise ValueError("limit field lives on a different grid size")
     if int(reps) != reps or reps < 1:
         raise ValueError("reps must be a positive integer")
-    reps = int(reps)
-    rows = np.ascontiguousarray(field.factor.T)
-    r = rows.shape[0]
-
-    def worker(lo: int, hi: int) -> np.ndarray:
-        z = replication_draws(lambda rng: rng.standard_normal(r), r, seed, lo, hi)
-        return lp_norms(project(z, rows), p, grid)
-
-    return np.concatenate(run_chunked(worker, reps, threads))
+    block = field_blocks(Normal(1.0), field.factor.T, 1, seed)
+    return np.concatenate(run_chunked(lambda lo, hi: lp_norms(block(lo, hi), p, grid), int(reps), threads))

@@ -1,11 +1,13 @@
 """Monte Carlo estimation of normed-sum moments S_n(t) = n^(-1/2) sum_i xi_i(t).
 
-Every estimator here is built on one block primitive, sn_block (or the
-block function sn_blocks sets up), which returns S_n on the grid for a range
-of replications. Replication rep draws everything from its own stream
-(seed, rep), taken from rng.streams by replication_draws, and each row of a
-block is computed and reduced on its own, so a replication's values depend
-neither on how many replications run nor on the block they land in.
+Every estimator here, and the limit-law sampler in limitlaw, is built on one
+block primitive, field_blocks(law, rows, n, seed): replication rep draws k =
+len(rows) standard variates from its own stream (seed, rep) with the time-sum
+law's draw(rng, k), in a fixed order; the block of them is scaled by law.sd
+/ sqrt(n) and projected onto the rows one row at a time. sn_blocks is that
+primitive with the driver's time_sum_law and the basis. Each row of a block
+is computed and reduced on its own, so a replication's values depend neither
+on how many replications run nor on the block they land in.
 Replications run in the calling thread, in fixed-size chunks whose results
 are assembled in index order; the threads argument of the public functions
 is checked and accepted but does not change the work or any result.
@@ -21,7 +23,7 @@ from math import fsum
 import numpy as np
 
 from .discretize import GridSpace, lp_norms
-from .fieldgen import FieldSpec, abs_normal_moment, check_sequence, sample_sequence
+from .fieldgen import FieldSpec, TimeSumLaw, abs_normal_moment, check_sequence, sample_sequence
 # seed_path stays importable here for the tracing hooks in perfbench/tracing.py
 from .rng import SeedLike, seed_path, streams  # noqa: F401
 
@@ -82,63 +84,37 @@ def project(coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def time_sum_sampler(spec: FieldSpec, n: int, grid: GridSpace):
-    """draw(rng): one replication's k time sums sum_i c_i X_i.
+def field_blocks(law: TimeSumLaw, rows: np.ndarray, n: int, seed: SeedLike):
+    """block(lo, hi): (law.sd / sqrt(n)) z @ rows for replications lo, ..., hi - 1, one row each.
 
-    c_i is 1, or spec.scales(n) under scale_decay. Every driver but scaled
-    Rademacher draws the sums from their exact law, k numbers; scaled
-    Rademacher sums its path from sample_component, n * k numbers in
-    sample_sequence's order.
+    Row i of z is law.draw(rng, k) on the stream of replication lo + i,
+    stream(seed_path(seed, lo + i)) from rng.streams, k = len(rows). The block
+    is scaled as (z * sd) / sqrt(n), elementwise, and projected row by row,
+    so a row depends on seed and rep only, bit for bit. The seed is hashed
+    once per block.
     """
-    n = check_sequence(spec, n, grid)
-    k = spec.n_components
-    scales = spec.scales(n)
-    exact = spec.driver.sum_sampler(n, k, scales)
-    if exact is not None:
-        return exact
-    path = spec.driver.sample_component
-    return lambda rng: (path(rng, n, k) * scales).sum(axis=1)
-
-
-def replication_draws(draw, width: int, seed: SeedLike, lo: int, hi: int) -> np.ndarray:
-    """(hi - lo, width) array whose row i is draw(rng) on the stream of replication lo + i.
-
-    The one place a replication meets its stream: stream(seed_path(seed, rep))
-    from rng.streams, drawn from in draw's fixed order, so a row depends on
-    seed and rep only.
-    """
-    out = np.empty((hi - lo, width))
-    for i, rng in enumerate(streams(seed, lo, hi)):
-        out[i] = draw(rng)
-    return out
-
-
-def sn_blocks(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike):
-    """block(lo, hi) is sn_block(spec, n, grid, seed, lo, hi).
-
-    The time-sum sampler (and its standard deviation) is set up once here,
-    not per block.
-    """
-    draw = time_sum_sampler(spec, n, grid)
+    rows = np.ascontiguousarray(rows)
+    k = rows.shape[0]
+    root = math.sqrt(n)
 
     def block(lo: int, hi: int) -> np.ndarray:
-        sums = replication_draws(draw, spec.n_components, seed, lo, hi)
-        return project(sums / math.sqrt(n), spec.basis)
+        z = np.empty((hi - lo, k))
+        for i, rng in enumerate(streams(seed, lo, hi)):
+            z[i] = law.draw(rng, k)
+        return project(z * law.sd / root, rows)
 
     return block
 
 
-def sn_block(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike, lo: int, hi: int) -> np.ndarray:
-    """S_n on the grid for replications lo, ..., hi - 1, one row each.
+def sn_blocks(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike):
+    """block(lo, hi): S_n on the grid for replications lo, ..., hi - 1, one row each.
 
-    Replication rep draws its k time sums from its stream in streams(seed, lo,
-    hi), which is stream(seed_path(seed, rep)), with time_sum_sampler. So a
-    row depends on seed and rep only; for the path sampler it agrees with
-    simulate_sn(spec, n, grid, seed_path(seed, rep)) to rounding, for the
-    exact one in law. The seed is hashed once per block, and the basis
-    projection runs once per block.
+    The driver's time_sum_law (and its standard deviation) is set up once
+    here, not per block: a row is the replication's k time sums sum_i c_i
+    X_i, c_i = 1 or spec.scales(n), over sqrt(n), projected onto the basis.
     """
-    return sn_blocks(spec, n, grid, seed)(lo, hi)
+    n = check_sequence(spec, n, grid)
+    return field_blocks(spec.driver.time_sum_law(n, spec.scales(n)), spec.basis, n, seed)
 
 
 def run_chunked(worker, reps: int, threads: int) -> list:
@@ -168,17 +144,26 @@ def replicate_norms(
 
 
 def summarize_norm_powers(norms: np.ndarray, n: int, s: float, p: float) -> MomentEstimate:
-    """CI assembly for mean(||S_n||_p^s), with a heavy-tail flag via kurtosis."""
+    """CI assembly for mean(||S_n||_p^s), with a heavy-tail flag via kurtosis.
+
+    Raises ValueError when the mean or the variance of the powers is not a
+    finite float, as when the field's scale overflows them.
+    """
     if not (1.0 <= s < math.inf):
         raise ValueError(f"moment power s must be finite and at least 1, not {s}")
-    powered = np.asarray(norms, dtype=float) ** s
-    reps = powered.size
-    value = float(np.mean(powered))
-    centered = powered - value
-    var = float(np.sum(centered**2)) / (reps - 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        powered = np.asarray(norms, dtype=float) ** s
+        reps = powered.size
+        value = float(np.mean(powered))
+        centered = powered - value
+        var = float(np.sum(centered**2)) / (reps - 1)
+    if not (math.isfinite(value) and math.isfinite(var)):
+        raise ValueError(f"the mean and variance of ||S_n||_p^s at n = {n}, s = {s} overflow a float")
     se = math.sqrt(var / reps)
     if var > 0.0:
-        kurt = float(np.mean(centered**4)) / (float(np.mean(centered**2)) ** 2)
+        # squares of centered^2 / m2, not centered^4 / m2^2, which overflow for finite var
+        sq = centered**2
+        kurt = float(np.mean((sq / float(np.mean(sq))) ** 2))
     else:
         kurt = 0.0
     return MomentEstimate(

@@ -335,6 +335,27 @@ def assert_one_config_error(capsys):
     assert err.startswith("config error: ") and err.count("\n") == 1, err
 
 
+
+def field_with_sigma(sigma):
+    return {"basis": {"name": "const", "k": 1}, "driver": {"iid_normal": {"sigma": sigma, "k": 1}}}
+
+
+@pytest.mark.parametrize("command,base", [("simulate", SIM), ("verify-clt", CLT), ("verify-bounds", VB)])
+def test_driver_variance_overflow_exits_2(tmp_path, capsys, command, base):
+    # sigma^2 overflows a float
+    assert run_config(tmp_path, command, dict(base, field=field_with_sigma(1e160))) == 2
+    assert_one_config_error(capsys)
+
+
+@pytest.mark.parametrize(
+    "command,base",
+    [("simulate", dict(SIM, s=4.0)), ("verify-bounds", dict(VB, s=4, v=8.0))],
+)
+def test_moments_that_overflow_exit_2(tmp_path, capsys, command, base):
+    # finite variances, but ||S_n||^4 near (1e100)^4 overflows the estimate
+    assert run_config(tmp_path, command, dict(base, field=field_with_sigma(1e100))) == 2
+    assert_one_config_error(capsys)
+
 PATH_CASES = {
     "out": ("tail", TAIL),
     "csv": ("simulate", SIM),

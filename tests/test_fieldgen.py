@@ -85,6 +85,29 @@ def test_driver_validation():
     assert MaQ(weights=(1.0, 0.0, 1.0), sigma=1e-300).weights[1] == 0.0
 
 
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: IidNormal(sigma=1e160),
+        lambda: MaQ(weights=(1.0,), sigma=1e160),
+        # marginal variance 1.44e308, long-run variance 100^2 times that
+        lambda: MaQ(weights=(1.0,) * 100, sigma=1.2e154),
+        lambda: Ar1(rho=0.5, sigma_innov=1e160),
+        # marginal variance 5e305, long-run variance 1e312
+        lambda: Ar1(rho=0.999999, sigma_innov=1e150),
+    ],
+    ids=["iid_normal", "ma_q", "ma_q-long-run", "ar1", "ar1-long-run"],
+)
+def test_drivers_reject_variances_that_overflow(make):
+    with pytest.raises(ValueError, match="variances must be finite"):
+        make()
+
+
+def test_drivers_accept_large_finite_variances():
+    assert_rel(IidNormal(sigma=1e150).marginal_variance, 1e300, 1e-15)
+    assert math.isfinite(Ar1(rho=0.5, sigma_innov=1e150).long_run_variance())
+
 def test_ma_weights_are_normalized_to_marginal_sigma():
     ma = MaQ(weights=(1.0, 1.0), sigma=1.0)
     assert_rel(ma.weights[0], 1.0 / math.sqrt(2.0), 1e-15)
@@ -159,7 +182,7 @@ def test_ar1_rho_zero_matches_iid_in_law():
 @example(rho=0.9999, sigma_innov=1.0, n=4096, k=3, scaled=True, seed=0)
 @example(rho=-0.999999, sigma_innov=0.3, n=1, k=1, scaled=False, seed=1)
 def test_ar1_recurrence_matches_lfilter_bit_for_bit(rho, sigma_innov, n, k, scaled, seed):
-    # the path and the sum sampler's reverse weights against scipy's first-order filter
+    # the path and the time-sum law's reverse weights against scipy's first-order filter
     ar = Ar1(rho=rho, sigma_innov=sigma_innov, k=k)
     draws = stream(seed).standard_normal((k, n + 1))
     x0 = draws[:, :1] * math.sqrt(ar.marginal_variance)
@@ -170,7 +193,7 @@ def test_ar1_recurrence_matches_lfilter_bit_for_bit(rho, sigma_innov, n, k, scal
     scales = np.random.default_rng(seed).uniform(0.1, 10.0, n) if scaled else None
     b = lfilter([1.0], [1.0, -rho], (np.ones(n) if scales is None else scales)[::-1])[::-1]
     start = rho * b[0] / math.sqrt((1.0 - rho) * (1.0 + rho))
-    assert ar.sum_sampler(n, k, scales).sd == sigma_innov * _l2(np.append(start, b))
+    assert ar.time_sum_law(n, scales).sd == sigma_innov * _l2(np.append(start, b))
 
 
 def ulps_off(value, exact):
@@ -292,27 +315,37 @@ def test_scale_decay_flags_experimental_and_scales_first_row():
         FieldSpec(basis=basis_matrix("const", 1, grid), driver=IidNormal(), scale_decay=-0.5)
 
 
-def _ma_or_reject(weights, sigma, k):
-    """MaQ, or no example where a stored weight would leave the normal float range (MaQ raises there)."""
-    try:
-        return MaQ(weights=weights, sigma=sigma, k=k)
-    except ValueError:
-        reject()
+def _or_reject(cls):
+    """cls(**params), or no example where the driver raises: a stored MaQ weight
+    that leaves the normal float range, or a variance that overflows a float."""
+
+    def build(**params):
+        try:
+            return cls(**params)
+        except ValueError:
+            reject()
+
+    return build
 
 
 SIGMA = st.floats(min_value=0.0, allow_infinity=False)
 COUNT = st.integers(min_value=1, max_value=16)
 DRIVERS = st.one_of(
-    st.builds(IidNormal, sigma=SIGMA, k=COUNT),
+    st.builds(_or_reject(IidNormal), sigma=SIGMA, k=COUNT),
     st.builds(IidRademacher, k=COUNT),
     st.builds(
-        _ma_or_reject,
+        _or_reject(MaQ),
         weights=st.lists(st.floats(min_value=-1e300, max_value=1e300), min_size=1, max_size=6).filter(any),
         # MaQ stores its weights times sigma; near the float limits of sigma they underflow or overflow
         sigma=st.floats(min_value=1e-300, max_value=1e300),
         k=COUNT,
     ),
-    st.builds(Ar1, rho=st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True), sigma_innov=SIGMA, k=COUNT),
+    st.builds(
+        _or_reject(Ar1),
+        rho=st.floats(min_value=-1.0, max_value=1.0, exclude_min=True, exclude_max=True),
+        sigma_innov=SIGMA,
+        k=COUNT,
+    ),
 )
 
 

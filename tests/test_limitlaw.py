@@ -190,6 +190,15 @@ def test_factorize_validation():
         factorize_covariance(np.zeros((0, 0)))
 
 
+
+@pytest.mark.parametrize("scale", [1.0, 1e-13])
+def test_symmetry_check_is_relative_to_the_matrix(scale):
+    # the same asymmetry raises at every scale; a relative 1e-13 one is accepted at every scale
+    with pytest.raises(ValueError, match="symmetric"):
+        factorize_covariance(scale * np.array([[1.0, 0.5], [0.0, 1.0]]))
+    near = scale * np.array([[1.0, 0.5], [0.5 + 1e-13, 1.0]])
+    assert np.array_equal(factorize_covariance(near).covariance, (near + near.T) / 2.0)
+
 def test_sample_limit_norms_validation(grid16):
     spec = FieldSpec(basis=basis_matrix("const", 1, grid16), driver=IidNormal())
     field = limit_covariance(spec, grid16)

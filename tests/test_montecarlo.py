@@ -31,7 +31,8 @@ from cltlab import (
     write_norms_csv,
 )
 from cltlab.discretize import lp_norms
-from cltlab.montecarlo import CHUNK, CI_Z, MIN_REPS, project, sn_block, time_sum_sampler
+from cltlab.fieldgen import Rademacher
+from cltlab.montecarlo import CHUNK, CI_Z, MIN_REPS, project, sn_blocks
 from cltlab.rng import stream, streams
 
 from conftest import assert_rel
@@ -108,7 +109,8 @@ DRIVER_IDS = ["iid_normal", "iid_rademacher", "ma_q", "ar1"]
 
 def one_replication(spec, n, grid, seed, rep):
     """Replication rep's row computed on its own: its k time sums from stream(seed_path(seed, rep)), projected."""
-    sums = time_sum_sampler(spec, n, grid)(stream(seed_path(seed, rep)))
+    law = spec.driver.time_sum_law(n, spec.scales(n))
+    sums = law.draw(stream(seed_path(seed, rep)), spec.n_components) * law.sd
     return project(sums[None, :] / math.sqrt(n), spec.basis)[0]
 
 
@@ -117,14 +119,14 @@ def one_replication(spec, n, grid, seed, rep):
 def test_block_rows_match_simulate_sn(grid16, driver, scale_decay):
     spec = FieldSpec(basis=basis_matrix("fourier", 3, grid16), driver=driver, scale_decay=scale_decay)
     lo, hi = CHUNK - 5, CHUNK + 7
-    block = sn_block(spec, 48, grid16, 11, lo, hi)
+    block = sn_blocks(spec, 48, grid16, 11)(lo, hi)
     assert block.shape == (hi - lo, grid16.size)
     # only scaled Rademacher draws the path
-    path = spec.driver.sum_sampler(48, spec.n_components, spec.scales(48)) is None
+    path = getattr(spec.driver.time_sum_law(48, spec.scales(48)), "c", None) is not None
     assert path == (isinstance(driver, IidRademacher) and scale_decay is not None)
     for i, rep in enumerate(range(lo, hi)):
         # a row does not depend on the block it is computed in
-        assert np.array_equal(sn_block(spec, 48, grid16, 11, rep, rep + 1)[0], block[i])
+        assert np.array_equal(sn_blocks(spec, 48, grid16, 11)(rep, rep + 1)[0], block[i])
         assert np.array_equal(one_replication(spec, 48, grid16, 11, rep), block[i])
         if path:
             direct = simulate_sn(spec, 48, grid16, seed_path(11, rep))
@@ -148,9 +150,9 @@ LAW_CASES = [(d, i, sd) for d, i in zip(DRIVERS, DRIVER_IDS) for sd in (None, 0.
 def test_exact_time_sums_agree_with_path_sums_in_law(grid16, driver, scale_decay):
     n, reps = 64, 4000
     spec = FieldSpec(basis=basis_matrix("fourier", 3, grid16), driver=driver, scale_decay=scale_decay)
-    assert spec.driver.sum_sampler(n, spec.n_components, spec.scales(n)) is not None
-    draw = time_sum_sampler(spec, n, grid16)
-    exact = np.concatenate([draw(rng) for rng in streams(5, 0, reps // spec.n_components)])
+    law = spec.driver.time_sum_law(n, spec.scales(n))
+    assert getattr(law, "c", None) is None
+    exact = np.concatenate([law.draw(rng, spec.n_components) * law.sd for rng in streams(5, 0, reps // spec.n_components)])
     path = _path_sums(driver, n, spec.scales(n), exact.size, 6)
     assert ks_2samp(exact, path).pvalue > 1e-3
     # second and fourth moments agree within 4 standard errors of their difference
@@ -164,7 +166,7 @@ def _oracle_variance(driver, c):
     """sum_{i,j} c_i c_j gamma(i - j), exactly (Fraction) or at 50 digits (mpmath, AR(1)).
 
     It sums the autocovariances of the path, not the squared weights of the
-    innovations the sampler sums. AR(1) is grouped as sum_i c_i^2 gamma(0) +
+    innovations the time-sum law sums. AR(1) is grouped as sum_i c_i^2 gamma(0) +
     2 sum_i c_i t_i gamma(0) with t_i = sum_{j<i} c_j rho^(i-j) = rho (t_{i-1} + c_{i-1}).
     """
     if isinstance(driver, Ar1):
@@ -199,10 +201,21 @@ def test_exact_sum_variance_against_oracle(grid16, driver):
     for n in (1, 2, 3, 16, 4096):
         for scale_decay in (None, 0.5):
             spec = FieldSpec(basis=basis_matrix("const", 1, grid16), driver=driver, scale_decay=scale_decay)
-            sampler = time_sum_sampler(spec, n, grid16)
+            law = spec.driver.time_sum_law(n, spec.scales(n))
             exact = _oracle_variance(driver, np.ones(n) if scale_decay is None else spec.scales(n))
-            assert_rel(sampler.sd**2, exact, 1e-13, f"n={n} scale_decay={scale_decay}")
+            assert_rel(law.sd**2, exact, 1e-13, f"n={n} scale_decay={scale_decay}")
 
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (7, 3), (48, 4)])
+def test_weighted_rademacher_law_sums_sample_component_path(n, k):
+    # a time weight per step, as scale_decay gives; the same stream draws the same signs
+    c = 1.0 + 0.5 / np.arange(1, n + 1)
+    law = Rademacher(n, c)
+    for seed in range(5):
+        path = IidRademacher(k=k).sample_component(stream(seed), n, k)
+        assert np.array_equal(law.draw(stream(seed), k), (path * c).sum(axis=1))
+    assert law.sd == 1.0
 
 ENGINE_DRIVERS = st.one_of(
     st.builds(IidNormal, sigma=st.floats(0.0, 10.0), k=st.integers(1, 4)),
@@ -232,7 +245,7 @@ ENGINE_DRIVERS = st.one_of(
 def test_engine_rows_are_one_replication_blocks(driver, scale_decay, n, seed, lo, size, reps, p):
     grid = uniform_grid(8)
     spec = FieldSpec(basis=basis_matrix("indicator", driver.k, grid), driver=driver, scale_decay=scale_decay)
-    block = sn_block(spec, n, grid, seed, lo, lo + size)
+    block = sn_blocks(spec, n, grid, seed)(lo, lo + size)
     norms = replicate_norms(spec, n, p, grid, reps, seed)
     for rep in list(range(lo, lo + size)) + [0, reps - 1]:
         row = one_replication(spec, n, grid, seed, rep)
@@ -289,6 +302,19 @@ def test_summarize_norm_powers_heavy_tail_flag():
     const = summarize_norm_powers(np.ones(200), 8, 2.0, 2.0)
     assert not const.heavy_tail and const.std_error == 0.0
 
+
+
+def test_summarize_norm_powers_rejects_overflowing_moments():
+    # norms of 1e100 raised to s = 4 overflow the mean
+    with pytest.raises(ValueError, match="overflow a float"):
+        summarize_norm_powers(np.full(200, 1e100), 8, 4.0, 2.0)
+    # a finite mean with a variance that overflows
+    with pytest.raises(ValueError, match="overflow a float"):
+        summarize_norm_powers(np.array([1e-300] * 199 + [1e77]), 8, 4.0, 2.0)
+    # finite mean and variance whose fourth central moment overflows: a finite kurtosis
+    norms = np.random.default_rng(0).standard_normal(200) * 1e20 + 1e20
+    est = summarize_norm_powers(norms, 8, 4.0, 2.0)
+    assert math.isfinite(est.value) and math.isfinite(est.std_error)
 
 def test_lyapunov_monotone_on_fixed_sample(const_normal_field, grid16):
     norms = replicate_norms(const_normal_field, 16, 2.0, grid16, 200, seed=6)

@@ -27,6 +27,7 @@ from cltlab import (
     verify_moment_bound,
     verify_superstrong,
 )
+from cltlab import verify
 
 from conftest import assert_rel
 
@@ -123,6 +124,16 @@ def test_verify_clt_validation(const_normal_field, grid16):
     with pytest.raises(ValueError):
         verify_clt(const_normal_field, [16], 2.0, grid16, 400, limit_factor=0)
 
+
+
+@pytest.mark.parametrize("reps", [0, 50])
+def test_verify_clt_checks_reps_before_sampling_the_limit(const_normal_field, grid16, monkeypatch, reps):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the limit law was sampled")
+
+    monkeypatch.setattr(verify, "sample_limit_norms", refuse)
+    with pytest.raises(ValueError, match="needs at least 100 replications"):
+        verify_clt(const_normal_field, [16], 2.0, grid16, reps)
 
 def test_verify_moment_bound_iid_satisfied(const_normal_field, grid16):
     verdict = verify_moment_bound(
