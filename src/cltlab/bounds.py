@@ -24,6 +24,8 @@ from .mixing import (
     MDependent,
     MixingProfile,
     Polynomial,
+    alpha_power,
+    polynomial_power,
     value_at,
 )
 
@@ -304,7 +306,7 @@ def _lag_series(profile: MixingProfile, e: Fraction, d: float, tol: float, min_t
     r0 = _first_unclipped(profile)
     head = _power_sum(ALPHA_CAP ** float(e), r0, d)
     if isinstance(dec, Polynomial):
-        return head + _zeta_tail(dec.c ** float(e), Fraction(dec.theta) * e - Fraction(d), r0, min_terms)
+        return head + _zeta_tail(dec.c ** float(e), polynomial_power(dec.theta, e, d), r0, min_terms)
     q_lo = q_hi = dec.rho
     if e != 1:  # rho^e falls as e grows, and pow is within an ulp
         e_lo, e_hi = _enclose(e)
@@ -315,7 +317,7 @@ def _lag_series(profile: MixingProfile, e: Fraction, d: float, tol: float, min_t
 def _alpha_series(profile: MixingProfile, s: int, v: float, tol: float, min_terms: int) -> _SeriesSum:
     """sum_{r>=0} alpha(r)^(1-s/v) (r+1)^(s/2-1) with alpha(0) = 1/4, the universal
     bound that reduces the independent case to the closed form a_s (1/4)^(1-s/v)."""
-    e = 1 - Fraction(s) / Fraction(v) if math.isfinite(v) else Fraction(1)
+    e = alpha_power(s, v)
     return _SeriesSum(ALPHA_CAP ** float(e), 1, 0.0) + _lag_series(profile, e, s / 2.0 - 1.0, tol, min_terms)
 
 

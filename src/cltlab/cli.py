@@ -118,7 +118,6 @@ FLOAT = Kind("float", _float, float)
 FLOATS = Kind("float or list of floats", _floats, float, repeat=True)
 INTS = Kind("list of ints", _ints)
 PATH = Kind("path", lambda name, value: _instance(name, value, str, "a path string"))
-TEXT = Kind("string", lambda name, value: _instance(name, value, str, "a string"))
 OBJECT = Kind("object", lambda name, value: _instance(name, value, dict, "an object"))
 GRID = Kind("object", lambda name, value: grid_from_config(value))
 ALPHA_PROFILE = Kind('"iid" or profile object', lambda name, value: _profile(name, value, "alpha"))
@@ -159,8 +158,7 @@ _SCHEDULED = _SAMPLED + (Key("n_schedule", INTS, "sample sizes n, by default 16,
 _TOL = Key("tol", FLOAT, "series truncation tolerance", default=1e-10, flag=False)
 _AUDITED = _SCHEDULED + (
     _TOL,
-    Key("sup_mode", TEXT, 'sup-norm method: "analytic" (Gaussian default) or "monte_carlo"', flag=False),
-    Key("sup_reps", INT, "replications of the Monte Carlo sup-norm", default=2000, flag=False),
+    Key("sup_reps", INT, "replications of the sup-norm for a non-Gaussian driver", default=2000, flag=False),
 )
 
 
@@ -357,7 +355,7 @@ def _bound_lines(verdict) -> list:
     return lines
 
 
-_AUDIT_OPTIONS = ("n_schedule", "seed", "threads", "tol", "sup_mode", "sup_reps")
+_AUDIT_OPTIONS = ("n_schedule", "seed", "threads", "tol", "sup_reps")
 
 
 def _cmd_verify_bounds(c: argparse.Namespace) -> Tuple[dict, int, list]:
@@ -368,8 +366,7 @@ def _cmd_verify_bounds(c: argparse.Namespace) -> Tuple[dict, int, list]:
 
 def _cmd_verify_superstrong(c: argparse.Namespace) -> Tuple[dict, int, list]:
     spec = field_from_config(c.field, c.grid)
-    options = _options(c, *_AUDIT_OPTIONS)
-    verdict = verify_superstrong(spec, c.beta_profile, c.s, reps=c.reps, grid=c.grid, **options)
+    verdict = verify_superstrong(spec, c.beta_profile, c.s, c.reps, c.grid, **_options(c, *_AUDIT_OPTIONS))
     results = {"verdict": verdict, "beta_profile": profile_to_dict(c.beta_profile)}
     return results, 0 if verdict.satisfied else 1, _bound_lines(verdict)
 

@@ -103,6 +103,7 @@ def lp_norms(matrix: np.ndarray, p: float, grid: GridSpace) -> np.ndarray:
 
     Each row is reduced on its own, in grid order, so a row's norm is the same
     bit for bit whatever the other rows are; lp_norm is the one-row case.
+    Raises ValueError when a norm is not a finite float.
     """
     p = float(p)
     if not (1.0 <= p < math.inf):
@@ -113,5 +114,8 @@ def lp_norms(matrix: np.ndarray, p: float, grid: GridSpace) -> np.ndarray:
         raise ValueError("matrix must be 2-d with one column per grid point")
     if not np.all(np.isfinite(mat)):
         raise ValueError("values must be finite")
-    terms = grid.weights * np.abs(mat) ** p
-    return terms.sum(axis=1) ** (1.0 / p)
+    with np.errstate(over="ignore"):  # checked below
+        norms = (grid.weights * np.abs(mat) ** p).sum(axis=1) ** (1.0 / p)
+    if not np.all(np.isfinite(norms)):
+        raise ValueError(f"||.||_p at p = {p:g} overflows a float")
+    return norms

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Union
 
 from .discretize import check_numbers
@@ -118,21 +119,26 @@ def value_at(profile: MixingProfile, i: int) -> float:
     return raw
 
 
+def alpha_power(s: float, v: float) -> Fraction:
+    """1 - s/v as an exact rational (1 for v = inf): the power of alpha in the Z series."""
+    return 1 - Fraction(s) / Fraction(v) if math.isfinite(v) else Fraction(1)
+
+
+def polynomial_power(theta: float, e: Fraction, d: float) -> Fraction:
+    """p with (c (r+1)^-theta)^e (r+1)^d = c^e (r+1)^-p, exactly: the series converges iff p > 1."""
+    return Fraction(theta) * e - Fraction(d)
+
+
 def series_converges(profile: MixingProfile, s: int, v: float) -> bool:
     """Whether sum_r alpha^(1-s/v)(r) (r+1)^(s/2-1) is finite, decided by decay class."""
     if profile.kind != "alpha":
         raise ValueError("series_converges applies to alpha profiles")
-    if v <= s:
+    if not v > s:
         raise ValueError("requires v > s")
     d = profile.decay
-    if isinstance(d, (Explicit, MDependent)):
+    if not isinstance(d, Polynomial) or d.c == 0.0:
         return True
-    if isinstance(d, Geometric):
-        return True
-    if d.c == 0.0:
-        return True
-    # terms ~ (r+1)^(s/2 - 1 - theta(1 - s/v)); p-series test
-    return d.theta * (1.0 - s / v) > s / 2.0
+    return polynomial_power(d.theta, alpha_power(s, v), s / 2.0 - 1.0) > 1
 
 
 def series_converges_beta(profile: MixingProfile, s: float) -> bool:
@@ -142,13 +148,9 @@ def series_converges_beta(profile: MixingProfile, s: float) -> bool:
     if s < 2:
         raise ValueError("requires s >= 2")
     d = profile.decay
-    if isinstance(d, (Explicit, MDependent)):
+    if not isinstance(d, Polynomial) or d.c == 0.0:
         return True
-    if isinstance(d, Geometric):
-        return True
-    if d.c == 0.0:
-        return True
-    return d.theta - (s - 2.0) / 2.0 > 1.0
+    return polynomial_power(d.theta, Fraction(1), (float(s) - 2.0) / 2.0) > 1
 
 
 def profile_for_driver(driver) -> MixingProfile:

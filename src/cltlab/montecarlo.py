@@ -146,11 +146,14 @@ def replicate_norms(
 def summarize_norm_powers(norms: np.ndarray, n: int, s: float, p: float) -> MomentEstimate:
     """CI assembly for mean(||S_n||_p^s), with a heavy-tail flag via kurtosis.
 
-    Raises ValueError when the mean or the variance of the powers is not a
-    finite float, as when the field's scale overflows them.
+    Raises ValueError for fewer than two norms, and when the mean or the
+    variance of the powers is not a finite float, as when the field's scale
+    overflows them.
     """
     if not (1.0 <= s < math.inf):
         raise ValueError(f"moment power s must be finite and at least 1, not {s}")
+    if np.size(norms) < 2:
+        raise ValueError("a mean with a confidence interval needs at least two norms")
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         powered = np.asarray(norms, dtype=float) ** s
         reps = powered.size
@@ -226,33 +229,38 @@ def sup_v_norm(
     spec: FieldSpec,
     grid: GridSpace,
     v: float,
-    mode: str = "analytic",
     reps: int = 2000,
     seed: SeedLike = 0,
 ) -> float:
-    """integral over T of sup_i E|xi_i(t)|^v, by closed form or Monte Carlo.
+    """integral over T of sup_i E|xi_i(t)|^v, in closed form for a Gaussian driver.
 
-    Analytic mode needs a Gaussian driver: xi(t) is then N(0, var(t)) with
-    var(t) = marginal variance times sum_k phi_k(t)^2, and the absolute moment
-    is in closed form. Monte Carlo mode averages ||xi_1||_v^v = ||S_1||_v^v over
-    replications. With the experimental scaling the supremum over i sits at
-    i = 1, scale 1 + scale_decay.
+    A Gaussian xi(t) is N(0, var(t)) with var(t) = marginal variance times
+    sum_k phi_k(t)^2, so its absolute moment is in closed form. For any other
+    driver this is the mean of ||xi_1||_v^v = ||S_1||_v^v over reps
+    replications from seed. With the experimental scaling the supremum over i
+    sits at i = 1, scale 1 + scale_decay. Raises ValueError when the integral
+    is not a finite float.
     """
     if v < 1.0:
         raise ValueError("requires v >= 1")
     if spec.basis.shape[1] != grid.size:
         raise ValueError("basis was evaluated on a different grid size")
-    if mode == "analytic":
-        if not spec.driver.is_gaussian:
-            raise ValueError("analytic mode requires a Gaussian driver")
+    if spec.driver.is_gaussian:
         scale_sup = 1.0 if spec.scale_decay is None else 1.0 + spec.scale_decay
         var_t = spec.driver.marginal_variance * np.sum(spec.basis**2, axis=0)
-        terms = grid.weights * abs_normal_moment(v) * (scale_sup * np.sqrt(var_t)) ** v
-        return fsum(terms.tolist())
-    if mode == "monte_carlo":
+        with np.errstate(over="ignore"):  # checked below
+            terms, count = grid.weights * abs_normal_moment(v) * (scale_sup * np.sqrt(var_t)) ** v, 1
+    else:
         norms = replicate_norms(spec, 1, v, grid, reps, seed)
-        return fsum((norms**v).tolist()) / norms.size
-    raise ValueError("mode must be 'analytic' or 'monte_carlo'")
+        with np.errstate(over="ignore"):  # checked below
+            terms, count = norms**v, norms.size
+    try:
+        integral = fsum(terms.tolist()) / count
+    except OverflowError:  # fsum raises where a partial sum leaves float range
+        integral = math.inf
+    if not math.isfinite(integral):
+        raise ValueError(f"the sup-norm integral I at v = {v:g} overflows a float")
+    return integral
 
 
 def write_norms_csv(path: str, n: int, p: float, s: float, norms: np.ndarray) -> None:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Sequence, Union
+from functools import partial
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -177,12 +178,6 @@ class BoundVerdict:
     estimates: tuple
 
 
-def _sup_mode(spec: FieldSpec, requested: Optional[str]) -> str:
-    if requested is not None:
-        return requested
-    return "analytic" if spec.driver.is_gaussian else "monte_carlo"
-
-
 def _verdict(
     s: float,
     v: float,
@@ -212,21 +207,33 @@ def _verdict(
     )
 
 
-def _schedule_estimates(
+def _audit(
     spec: FieldSpec,
     s: float,
+    v: float,
     grid: GridSpace,
     reps: int,
-    schedule: Sequence[int],
+    n_schedule: Optional[Sequence[int]],
     seed: SeedLike,
     threads: int,
-) -> list:
-    """E||S_n||_s^s with its CI for each n of the schedule, from the streams seed_path(seed, 0, n)."""
+    sup_reps: int,
+    bound: Callable[[float], float],
+    method: str,
+) -> BoundVerdict:
+    """Both audits: I = sup_v_norm at v on the streams seed_path(seed, 1), then
+    bound(I), then E||S_n||_s^s with its CI for each n of the schedule on the
+    streams seed_path(seed, 0, n). method gets "/analytic" or "/monte_carlo"
+    appended, as sup_v_norm found I for the driver."""
+    schedule = _schedule(n_schedule)
+    integral = sup_v_norm(spec, grid, v, reps=sup_reps, seed=seed_path(seed, 1))
+    theoretical = bound(integral)
     s = float(s)
-    return [
+    estimates = [
         summarize_norm_powers(replicate_norms(spec, n, s, grid, reps, seed_path(seed, 0, n), threads), n, s, s)
         for n in schedule
     ]
+    kind = "analytic" if spec.driver.is_gaussian else "monte_carlo"
+    return _verdict(s, v, estimates, theoretical, method=f"{method}/{kind}")
 
 
 def verify_moment_bound(
@@ -239,69 +246,45 @@ def verify_moment_bound(
     seed: SeedLike = 0,
     threads: int = 1,
     tol: float = 1e-10,
-    sup_mode: Optional[str] = None,
     sup_reps: int = 2000,
 ) -> BoundVerdict:
-    """Audit sup_n E||S_n||_s^s <= W for the profile certified by the driver.
+    """Audit sup_n E||S_n||_s^s <= W = Z^s I^(s/v) for the profile certified by the driver.
 
-    The sup over n is approximated by the max over the schedule and labeled as
-    such, and read conservatively: satisfied only if the largest upper 99% CI
-    limit over the schedule is at most W. Divergent W gives a vacuous verdict
-    (satisfied, flagged), never an exception.
+    I is sup_v_norm at v: in closed form for a Gaussian driver, else a Monte
+    Carlo mean over sup_reps replications. The sup over n is approximated by
+    the max over the schedule and labeled as such, and read conservatively:
+    satisfied only if the largest upper 99% CI limit over the schedule is at
+    most W. Divergent W gives a vacuous verdict (satisfied, flagged), never an
+    exception.
     """
-    profile = profile_for_driver(spec.driver)
-    schedule = _schedule(n_schedule)
-    mode = _sup_mode(spec, sup_mode)
-    integral = sup_v_norm(spec, grid, v, mode=mode, reps=sup_reps, seed=seed_path(seed, 1))
-    theoretical = lp_moment_bound(profile, s, v, integral, tol)
-    estimates = _schedule_estimates(spec, s, grid, reps, schedule, seed, threads)
-    return _verdict(s, v, estimates, theoretical, method=f"mixing-series/{mode}")
+    bound = partial(lp_moment_bound, profile_for_driver(spec.driver), s, v, tol=tol)
+    return _audit(spec, s, v, grid, reps, n_schedule, seed, threads, sup_reps, bound, "mixing-series")
 
 
 def verify_superstrong(
-    spec_or_samples: Union[FieldSpec, Dict[int, np.ndarray]],
+    spec: FieldSpec,
     beta_profile: MixingProfile,
     s: float,
-    reps: int = 0,
-    grid: Optional[GridSpace] = None,
+    reps: int,
+    grid: GridSpace,
     n_schedule: Optional[Sequence[int]] = None,
     seed: SeedLike = 0,
     threads: int = 1,
     tol: float = 1e-10,
-    sup_mode: Optional[str] = None,
     sup_reps: int = 2000,
-    sup_norm_integral: Optional[float] = None,
 ) -> BoundVerdict:
-    """Audit the superstrong-mixing bound (K_N * sup-norm)^s on sup_n E||S_n||_s^s.
+    """Audit the superstrong-mixing bound (K_N I^(1/s))^s on sup_n E||S_n||_s^s.
 
-    Accepts either a FieldSpec (samples drawn here) or precomputed per-n arrays
-    of ||S_n||_s norms, in which case sup_norm_integral must be supplied. As in
-    verify_moment_bound, the verdict is satisfied only if the largest upper 99%
-    CI limit over the schedule is at most the bound.
+    I is sup_v_norm at v = s, found as in verify_moment_bound. As there, the
+    verdict is satisfied only if the largest upper 99% CI limit over the
+    schedule is at most the bound.
     """
     k_n = nachapetyan_k(beta_profile, s, tol)
-    if isinstance(spec_or_samples, FieldSpec):
-        spec = spec_or_samples
-        if grid is None:
-            raise ValueError("grid is required with a FieldSpec")
-        schedule = _schedule(n_schedule)
-        mode = _sup_mode(spec, sup_mode)
-        integral = sup_v_norm(spec, grid, s, mode=mode, reps=sup_reps, seed=seed_path(seed, 1))
-        estimates = _schedule_estimates(spec, s, grid, reps, schedule, seed, threads)
-        method = f"superstrong/{mode}"
-    else:
-        if sup_norm_integral is None:
-            raise ValueError("precomputed samples need sup_norm_integral")
-        integral = float(sup_norm_integral)
-        estimates = [
-            summarize_norm_powers(np.asarray(norms, dtype=float), n, float(s), float(s))
-            for n, norms in sorted(spec_or_samples.items())
-        ]
-        method = "superstrong/precomputed"
-    if not estimates:
-        raise ValueError("no estimates to audit")
-    theoretical = nachapetyan_bound(k_n, integral ** (1.0 / s)) ** s if integral > 0.0 else 0.0
-    return _verdict(s, s, estimates, theoretical, method=method)
+
+    def bound(integral: float) -> float:
+        return nachapetyan_bound(k_n, integral ** (1.0 / s)) ** s
+
+    return _audit(spec, s, s, grid, reps, n_schedule, seed, threads, sup_reps, bound, "superstrong")
 
 
 @dataclass(frozen=True)

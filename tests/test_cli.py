@@ -356,6 +356,13 @@ def test_moments_that_overflow_exit_2(tmp_path, capsys, command, base):
     assert run_config(tmp_path, command, dict(base, field=field_with_sigma(1e100))) == 2
     assert_one_config_error(capsys)
 
+
+def test_sup_mode_is_an_unknown_key(tmp_path, capsys):
+    # the sup-norm method follows the driver; there is no switch for it
+    assert run_config(tmp_path, "verify-bounds", dict(VB, sup_mode="analytic")) == 2
+    assert_one_config_error(capsys)
+
+
 PATH_CASES = {
     "out": ("tail", TAIL),
     "csv": ("simulate", SIM),
@@ -511,7 +518,6 @@ def valid_values(command, tmp_path):
         "w": st.floats(0.0, 10.0),
         "y": st.one_of(st.floats(1.0, 100.0), st.lists(st.floats(1.0, 100.0), min_size=1, max_size=3)),
         "tol": st.sampled_from([1e-10, 1e-6]),
-        "sup_mode": st.sampled_from(["analytic", "monte_carlo"]),
         "sup_reps": st.integers(100, 150),
         "sup_v_norm": st.floats(0.5, 2.0),
         "significance": st.sampled_from([0.01, 0.05]),

@@ -78,6 +78,9 @@ def test_lp_norm_validation():
         lp_norm(np.ones(3), 2.0, g)
     with pytest.raises(ValueError):
         lp_norm(np.array([1.0, math.inf, 0.0, 0.0]), 2.0, g)
+    # finite values whose p-th powers overflow
+    with pytest.raises(ValueError, match=r"\|\|_p at p = 4 overflows"):
+        lp_norm(np.array([1e100, 0.0, 0.0, 0.0]), 4.0, g)
 
 
 def test_lp_norms_matches_rowwise_lp_norm():

@@ -19,12 +19,15 @@ from cltlab import (
     abs_normal_moment,
     ar1_unit_marginal,
     basis_matrix,
+    custom_grid,
+    estimate_moment,
     field_from_config,
     long_run_covariance,
     sample_sequence,
     sup_v_norm,
     uniform_grid,
 )
+from cltlab import montecarlo
 from cltlab.fieldgen import _l2, driver_from_dict, driver_to_dict
 from cltlab.rng import stream
 
@@ -269,27 +272,44 @@ def test_sup_v_norm_single_sine_row():
     assert_rel(sup_v_norm(spec, grid, 2.0), 1.0, 1e-12)
 
 
-def test_sup_v_norm_analytic_rejects_non_gaussian():
+def test_sup_v_norm_takes_the_monte_carlo_path_for_rademacher(monkeypatch):
     grid = uniform_grid(8)
     spec = FieldSpec(basis=basis_matrix("const", 1, grid), driver=IidRademacher())
-    with pytest.raises(ValueError):
-        sup_v_norm(spec, grid, 4.0, mode="analytic")
+    calls = []
+    sample = montecarlo.replicate_norms
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "replicate_norms", recorded)
+    # |xi| = 1, so the v-norm integral is exactly 1 in Monte Carlo
+    assert_rel(sup_v_norm(spec, grid, 4.0, reps=200, seed=0), 1.0, 1e-12)
+    assert [a[1:3] for a in calls] == [(1, 4.0)]
 
 
 def test_sup_v_norm_monte_carlo_close_to_analytic():
     grid = uniform_grid(8)
     spec = FieldSpec(basis=basis_matrix("const", 1, grid), driver=IidNormal())
-    mc = sup_v_norm(spec, grid, 4.0, mode="monte_carlo", reps=4000, seed=3)
-    assert abs(mc - 3.0) < 0.35
-    # rademacher: |xi| = 1 so the v-norm integral is exactly 1 in monte carlo
+    mc = estimate_moment(spec, 1, 4.0, 4.0, grid, 4000, seed=3).value
+    assert abs(mc - sup_v_norm(spec, grid, 4.0)) < 0.35
     rad = FieldSpec(basis=basis_matrix("const", 1, grid), driver=IidRademacher())
-    assert_rel(sup_v_norm(rad, grid, 4.0, mode="monte_carlo", reps=200, seed=0), 1.0, 1e-12)
     with pytest.raises(ValueError):
-        sup_v_norm(spec, grid, 4.0, mode="monte_carlo", reps=10)
+        sup_v_norm(rad, grid, 4.0, reps=10)
     with pytest.raises(ValueError):
         sup_v_norm(spec, grid, 0.5)
-    with pytest.raises(ValueError):
-        sup_v_norm(spec, grid, 2.0, mode="exact")
+
+
+def test_sup_v_norm_overflow_is_a_value_error():
+    grid = uniform_grid(8)
+    spec = FieldSpec(basis=basis_matrix("const", 1, grid), driver=IidNormal(sigma=1e100))
+    with pytest.raises(ValueError, match="I at v = 8 overflows"):
+        sup_v_norm(spec, grid, 8.0)
+    # finite terms of about 1e308 whose sum leaves float range
+    heavy = custom_grid([0.25, 0.75], [8e307, 8e307])
+    spec = FieldSpec(basis=basis_matrix("const", 1, heavy), driver=IidNormal(sigma=1.2))
+    with pytest.raises(ValueError, match="I at v = 2 overflows"):
+        sup_v_norm(spec, heavy, 2.0)
 
 
 def test_sample_mean_is_centered():

@@ -18,12 +18,14 @@ from cltlab import (
     MDependent,
     MixingProfile,
     Polynomial,
+    nachapetyan_k,
     profile_for_driver,
     profile_from_dict,
     profile_to_dict,
     series_converges,
     series_converges_beta,
     value_at,
+    z_value,
 )
 
 
@@ -128,6 +130,22 @@ def test_series_converges_beta_threshold():
     assert series_converges_beta(MixingProfile("beta", Geometric(1.0, 0.99)), 8.0)
     with pytest.raises(ValueError):
         series_converges_beta(MixingProfile("alpha", MDependent(0)), 2.0)
+
+
+@pytest.mark.parametrize("theta", [0.7, 1.5, 2.0, 2.1, 3.0, 4.5, 6.0, 9.0, 18.0, 21.0])
+def test_series_converges_agrees_with_the_engine(theta):
+    # the decision and the series engine share one exact exponent, so the
+    # decision is False exactly where the engine's value is inf; at (theta, s, v)
+    # = (4.5, 6, 18), (18, 4, 4.5) and (21, 6, 7) the exponent is exactly 1 (a
+    # divergent p-series), though theta (1 - s/v) > s/2 in floats
+    alpha = MixingProfile("alpha", Polynomial(1.0, theta))
+    for s in (2, 4, 6):
+        for v in (3.0, 4.5, 7.0, 8.0, 12.0, 18.0):
+            if v > s:
+                assert series_converges(alpha, s, v) is math.isfinite(z_value(alpha, s, v).z_value), (s, v)
+    beta = MixingProfile("beta", Polynomial(1.0, theta))
+    for s in (2.0, 3.0, 4.0, 4.2, 6.0, 8.0):
+        assert series_converges_beta(beta, s) is math.isfinite(nachapetyan_k(beta, s)), s
 
 
 def test_profile_for_driver():

@@ -303,6 +303,11 @@ def test_summarize_norm_powers_heavy_tail_flag():
     assert not const.heavy_tail and const.std_error == 0.0
 
 
+@pytest.mark.parametrize("size", [0, 1])
+def test_summarize_norm_powers_needs_two_norms(size):
+    with pytest.raises(ValueError, match="at least two norms"):
+        summarize_norm_powers(np.ones(size), 8, 2.0, 2.0)
+
 
 def test_summarize_norm_powers_rejects_overflowing_moments():
     # norms of 1e100 raised to s = 4 overflow the mean

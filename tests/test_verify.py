@@ -21,7 +21,7 @@ from cltlab import (
     ks_two_sample,
     limit_covariance,
     projection_variance_check,
-    replicate_norms,
+    summarize_norm_powers,
     uniform_grid,
     verify_clt,
     verify_moment_bound,
@@ -172,24 +172,11 @@ def test_verify_superstrong_vacuous_on_divergent_profile(const_normal_field, gri
     assert math.isinf(verdict.theoretical)
 
 
-def test_verify_superstrong_precomputed_samples(const_normal_field, grid16):
-    norms = replicate_norms(const_normal_field, 32, 2.0, grid16, 200, seed=0)
-    beta = MixingProfile("beta", Geometric(1.0, 0.5))
-    verdict = verify_superstrong({32: norms}, beta, 2.0, sup_norm_integral=1.0)
-    assert verdict.theoretical == 16.0 and verdict.satisfied
-    assert verdict.method == "superstrong/precomputed"
-    with pytest.raises(ValueError):
-        verify_superstrong({32: norms}, beta, 2.0)
-
-
 def test_verdict_reads_largest_upper_ci_limit():
     # n=16: mean 1.0 with no spread; n=32: lower mean 0.9 but a wide CI reaching above 1.1
-    tight = np.ones(100)
-    wide = np.sqrt(np.tile([0.0, 1.8], 50))
-    beta = MixingProfile("beta", Geometric(1.0, 0.5))
-    # K_N = 4, so the bound is 16 * sup_norm_integral = 1.05
-    verdict = verify_superstrong({16: tight, 32: wide}, beta, 2.0, sup_norm_integral=1.05 / 16.0)
-    assert_rel(verdict.theoretical, 1.05, 1e-12)
+    tight = summarize_norm_powers(np.ones(100), 16, 2.0, 2.0)
+    wide = summarize_norm_powers(np.sqrt(np.tile([0.0, 1.8], 50)), 32, 2.0, 2.0)
+    verdict = verify._verdict(2.0, 2.0, [tight, wide], 1.05, "superstrong/analytic")
     by_mean = max(verdict.estimates, key=lambda e: e.value)
     assert by_mean.n == 16 and by_mean.ci_high <= verdict.theoretical
     assert verdict.empirical.n == 32 and verdict.empirical.ci_high > verdict.theoretical
