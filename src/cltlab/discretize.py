@@ -27,11 +27,17 @@ class GridSpace:
             raise ValueError("grid points and weights must be finite")
         if np.any(wts <= 0.0):
             raise ValueError("quadrature weights must be strictly positive")
+        try:
+            mass = math.fsum(wts.tolist())
+        except OverflowError:  # fsum raises where a partial sum leaves float range
+            mass = math.inf
+        if not math.isfinite(mass):
+            raise ValueError("quadrature weights must sum to a finite total mass")
         pts.flags.writeable = False
         wts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", wts)
-        object.__setattr__(self, "total_mass", math.fsum(wts.tolist()))
+        object.__setattr__(self, "total_mass", mass)
 
     @property
     def size(self) -> int:

@@ -6,20 +6,21 @@ independent components and combined with basis functions evaluated on a grid.
 A driver's sample_component(rng, n) returns one component path of length n;
 sample_component(rng, n, k) returns k of them as a (k x n) array, drawing
 every time step of component 0 before component 1's. sample_sequence draws a
-replication that way from one stream, rng.stream at its seed path (a
-golden-ratio jump of a SeedSequence-keyed PCG64DXSM), so the same seed path
-gives the same sequence bit for bit.
+replication that way from one generator, rng.stream at its seed path, so the
+same seed path gives the same sequence bit for bit. These path samplers are
+the references in law for the time-sum laws below.
 
 A driver's time_sum_law(n, c) is the law of the time sums sum_i c_i X_i of
-its components, as a small frozen object: law.draw(rng, k) returns one
-replication's k standard variates, and the sums are those variates times
-law.sd. A Gaussian driver's sum is a fixed linear combination of independent
-innovations, so it is Normal(sd) with sd^2 the sum of the squared
-coefficients (Brockwell and Davis, Time Series: Theory and Methods, 7.1),
-one standard normal per component. The Rademacher driver's law is
-Rademacher(n, c) with sd 1: an unweighted sum is 2 Binomial(n, 1/2) - n, one
-draw per component; a weighted one has no such law and draws its path, in
-sample_component's order.
+its components, as a small frozen object: law.block(key, lo, hi, k) returns
+the k standard variates of each replication lo, ..., hi - 1 as a (hi - lo, k)
+array, computed from that replication's Philox words (rng.words) only, and
+the sums are those variates times law.sd. A Gaussian driver's sum is a fixed
+linear combination of independent innovations, so it is Normal(sd) with sd^2
+the sum of the squared coefficients (Brockwell and Davis, Time Series: Theory
+and Methods, 7.1), one standard normal per component, by Box-Muller. The
+Rademacher driver's law is Rademacher(n, c) with sd 1, n sign bits per
+component: an unweighted sum is exactly 2 popcount(bits) - n; a weighted one
+unpacks the bits to +-1 and sums them with weights c.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .discretize import GridSpace, check_numbers, is_real
-from .rng import SeedLike, stream
+from .rng import SeedLike, stream, words
 
 
 def _shape(n: int, k: Optional[int]) -> tuple:
@@ -82,31 +83,59 @@ def _signs(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Normal:
-    """Time sums that are independent N(0, sd^2): draw gives their k standard normals."""
+    """Time sums that are independent N(0, sd^2): block gives their standard normals."""
 
     sd: float
 
-    def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
-        return rng.standard_normal(k)
+    def block(self, key: tuple, lo: int, hi: int, k: int) -> np.ndarray:
+        """(hi - lo, k) standard normals, two per Philox block of four words, by Box-Muller.
+
+        Words 0, 1 and 2, 3 of a block make two 53-bit integers a and b; with
+        u = (a + 0.5) 2^-53 in (0, 1], so log never sees 0, the block gives
+        sqrt(-2 log u) (cos, sin)(2 pi b 2^-53). log, cos and sin run on
+        contiguous arrays: numpy may round a strided input in another loop.
+        """
+        pairs = -(-k // 2)
+        w = words(key, lo, hi, 4 * pairs).reshape(hi - lo, pairs, 4).astype(np.uint64)
+        a = (w[..., 0] << np.uint64(32) | w[..., 1]) >> np.uint64(11)
+        b = (w[..., 2] << np.uint64(32) | w[..., 3]) >> np.uint64(11)
+        r = np.sqrt(-2.0 * np.log((a + 0.5) * 2.0**-53))
+        theta = b * (2.0 * math.pi * 2.0**-53)
+        z = np.empty((hi - lo, pairs, 2))
+        np.multiply(r, np.cos(theta), out=z[..., 0])
+        np.multiply(r, np.sin(theta), out=z[..., 1])
+        return z.reshape(hi - lo, 2 * pairs)[:, :k]
 
 
 @dataclass(frozen=True, eq=False)
 class Rademacher:
-    """Time sums sum_i c_i eps_i over n Rademacher signs, drawn whole, so sd is 1.
+    """Time sums sum_i c_i eps_i over n Rademacher signs, so sd is 1.
 
-    Unweighted (c None), a sum is 2 Binomial(n, 1/2) - n. Weighted, draw takes
-    the k x n signs of the path in IidRademacher.sample_component's order and
-    sums them with weights c.
+    Component j of a replication takes its n signs from words j m, ...,
+    (j + 1) m - 1 of the replication, m = ceil(n / 32), bit b of word w giving
+    sign 32 w + b: +1 for a set bit, -1 otherwise. Unweighted (c None), a sum
+    is exactly 2 popcount - n over those bits, the last word masked to its
+    n mod 32 low bits; weighted, it is the signs times c, summed.
     """
 
     n: int
     c: Optional[np.ndarray] = None
     sd = 1.0
 
-    def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
+    def block(self, key: tuple, lo: int, hi: int, k: int) -> np.ndarray:
+        """(hi - lo, k) sums, one per component of each replication lo, ..., hi - 1."""
+        m = -(-self.n // 32)
+        w = words(key, lo, hi, k * m).reshape(hi - lo, k, m)
         if self.c is None:
-            return 2.0 * rng.binomial(self.n, 0.5, k) - self.n
-        return (_signs(rng, (k, self.n)) * self.c).sum(axis=1)
+            if self.n % 32:
+                w[..., -1] &= np.uint32((1 << (self.n % 32)) - 1)
+            return 2.0 * np.bitwise_count(w).sum(axis=-1, dtype=np.int64) - self.n
+        bits = np.unpackbits(w.astype("<u4").view(np.uint8), axis=-1, bitorder="little")
+        out = np.empty((hi - lo, k))
+        # one component at a time bounds the float signs to (hi - lo) x n
+        for j in range(k):
+            out[:, j] = np.where(bits[:, j, : self.n], self.c, -self.c).sum(axis=1)
+        return out
 
 
 TimeSumLaw = Union[Normal, Rademacher]
@@ -191,7 +220,7 @@ class IidRademacher:
         return _signs(rng, _shape(n, k))
 
     def time_sum_law(self, n: int, scales: Optional[np.ndarray] = None) -> Rademacher:
-        """sum_i c_i eps_i per component: 2 Binomial(n, 1/2) - n unscaled, the weighted path under scales."""
+        """sum_i c_i eps_i per component: 2 popcount - n over n sign bits unscaled, the weighted signs under scales."""
         return Rademacher(n, scales)
 
 
@@ -424,13 +453,11 @@ def check_sequence(spec: FieldSpec, n: int, grid: GridSpace) -> int:
 def sample_sequence(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike) -> np.ndarray:
     """One replication of (xi_1, ..., xi_n) on the grid, as an (n x grid) matrix.
 
-    Every component and time step is drawn from the one stream rng.stream(seed),
-    component after component, so two calls with the same seed path agree bit
-    for bit; with seed = seed_path(root, rep) that is the stream
-    montecarlo.sn_blocks draws replication rep from. sn_blocks draws only the
-    time sums from it, through the driver's time_sum_law, so their paths match
-    only where that law sums the path (scaled Rademacher); elsewhere this is
-    its reference in law.
+    Every component and time step is drawn from the one generator
+    rng.stream(seed), component after component, so two calls with the same
+    seed path agree bit for bit. montecarlo.sn_blocks draws the time sums from
+    Philox words instead, through the driver's time_sum_law, so this is their
+    reference in law, not draw for draw.
     """
     n = check_sequence(spec, n, grid)
     x = spec.driver.sample_component(stream(seed), n, spec.n_components)

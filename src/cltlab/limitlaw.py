@@ -11,8 +11,8 @@ numpy's matrix-rank tolerance; an indefinite matrix or a factor that does not
 reproduce it raises, it never produces silent NaNs.
 
 A replication of the limit field is the n = 1 field of the time-sum law
-Normal(1.0) on the factor's columns (montecarlo.field_blocks): r standard
-normals from its own stream, projected onto the columns.
+Normal(1.0) on the factor's columns (montecarlo.field_blocks): r Box-Muller
+normals from its own Philox counters, projected onto the columns.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ def sample_limit_norms(
 ) -> np.ndarray:
     """||S||_p over replications of the limit field S = factor z, z standard normal.
 
-    Replication rep draws its r = factor.shape[1] normals from the stream
-    (seed, rep) (r = K for the model's limit law), through
+    Replication rep takes its r = factor.shape[1] normals from its Philox
+    counters under the seed's key (r = K for the model's limit law), through
     montecarlo.field_blocks with the law Normal(1.0) at n = 1, whose scaling
     by 1.0 / sqrt(1) is exact; with row-by-row projection and norms, a
     replication's norm depends on seed and rep only, not on reps or threads.

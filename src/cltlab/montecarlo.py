@@ -1,13 +1,16 @@
 """Monte Carlo estimation of normed-sum moments S_n(t) = n^(-1/2) sum_i xi_i(t).
 
 Every estimator here, and the limit-law sampler in limitlaw, is built on one
-block primitive, field_blocks(law, rows, n, seed): replication rep draws k =
-len(rows) standard variates from its own stream (seed, rep) with the time-sum
-law's draw(rng, k), in a fixed order; the block of them is scaled by law.sd
-/ sqrt(n) and projected onto the rows one row at a time. sn_blocks is that
+block primitive, field_blocks(law, rows, n, seed): a block of replications
+lo, ..., hi - 1 takes its k = len(rows) standard variates per replication
+from one call of the time-sum law's block(key, lo, hi, k), which computes
+replication rep's values from its own Philox counters under the seed's key
+(rng), with no loop over replications; the block is scaled by law.sd /
+sqrt(n) and projected onto the rows one row at a time. sn_blocks is that
 primitive with the driver's time_sum_law and the basis. Each row of a block
-is computed and reduced on its own, so a replication's values depend neither
-on how many replications run nor on the block they land in.
+is computed and reduced on its own, so a replication's values depend on
+(seed path, rep) only: neither on how many replications run nor on the
+block they land in.
 Replications run in the calling thread, in fixed-size chunks whose results
 are assembled in index order; the threads argument of the public functions
 is checked and accepted but does not change the work or any result.
@@ -25,7 +28,7 @@ import numpy as np
 from .discretize import GridSpace, lp_norms
 from .fieldgen import FieldSpec, TimeSumLaw, abs_normal_moment, check_sequence, sample_sequence
 # seed_path stays importable here for the tracing hooks in perfbench/tracing.py
-from .rng import SeedLike, seed_path, streams  # noqa: F401
+from .rng import SeedLike, philox_key, seed_path  # noqa: F401
 
 # 99% two-sided normal quantile, used for every confidence interval here.
 CI_Z = 2.5758293035489004
@@ -87,21 +90,17 @@ def project(coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def field_blocks(law: TimeSumLaw, rows: np.ndarray, n: int, seed: SeedLike):
     """block(lo, hi): (law.sd / sqrt(n)) z @ rows for replications lo, ..., hi - 1, one row each.
 
-    Row i of z is law.draw(rng, k) on the stream of replication lo + i,
-    stream(seed_path(seed, lo + i)) from rng.streams, k = len(rows). The block
-    is scaled as (z * sd) / sqrt(n), elementwise, and projected row by row,
-    so a row depends on seed and rep only, bit for bit. The seed is hashed
-    once per block.
+    z is law.block(key, lo, hi, k), k = len(rows), with the seed's Philox key
+    hashed once per block; its row i comes from replication lo + i's counters
+    only. The block is scaled as (z * sd) / sqrt(n), elementwise, and
+    projected row by row, so a row depends on seed and rep only, bit for bit.
     """
     rows = np.ascontiguousarray(rows)
     k = rows.shape[0]
     root = math.sqrt(n)
 
     def block(lo: int, hi: int) -> np.ndarray:
-        z = np.empty((hi - lo, k))
-        for i, rng in enumerate(streams(seed, lo, hi)):
-            z[i] = law.draw(rng, k)
-        return project(z * law.sd / root, rows)
+        return project(law.block(philox_key(seed), lo, hi, k) * law.sd / root, rows)
 
     return block
 
@@ -136,7 +135,7 @@ def replicate_norms(
     seed: SeedLike,
     threads: int = 1,
 ) -> np.ndarray:
-    """||S_n||_p over replications, one stream per replication."""
+    """||S_n||_p over replications, each from its own Philox counters."""
     reps = check_reps(reps)
     block = sn_blocks(spec, n, grid, seed)
     chunks = run_chunked(lambda lo, hi: lp_norms(block(lo, hi), p, grid), reps, threads)

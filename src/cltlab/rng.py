@@ -1,31 +1,36 @@
-"""Deterministic stream derivation for Monte Carlo.
+"""Deterministic random numbers for Monte Carlo: counter-based Philox blocks.
 
-Every random draw in the package comes from a PCG64DXSM generator named by a
-root seed plus an integer path (branch, n, replication). All but the last
-step of a path are a SeedSequence spawn key, hashed once into a generator's
-start state; the last step rep names that generator's (rep + 1)-th jump of
-round((phi - 1) * 2^128) draws, numpy's `jumped` substream, so a block of
-replications costs one hash plus one state reset and advance per replication.
-An empty path is the keyed generator itself, not jumped.
+Every replication's random numbers are a pure function of (seed path, rep).
+A seed path, a root seed plus integer steps (branch, n), is a SeedSequence
+spawn key, hashed once per block of replications into a 64-bit Philox key:
+seed_path(seed).generate_state(2, uint32). Replication rep owns the
+Philox4x32-10 counters (j, rep mod 2^32, rep >> 32, 0), j = 0, 1, ..., and
+its j-th 4-word block is the Philox bijection of that counter under the key
+(Salmon, Moraes, Dror and Shaw, "Parallel random numbers: as easy as 1, 2,
+3", SC'11). words(key, lo, hi, count) evaluates a whole (reps, blocks)
+counter array with a few numpy array operations: no generator state and no
+loop over replications. Integer arithmetic is exact, so a replication's
+words do not depend on the block it is computed in or on how many
+replications run beside it.
 
-A replication owns one stream and draws everything it needs from it in a
-fixed order, so its values depend only on (seed, path): not on the chunk it
-lands in or how many replications run beside it.
-Golden-ratio jumps spread the substreams of one key evenly over PCG64DXSM's
-2^128 period (the first million start at least 2^107 draws apart), and
-streams with different keys are statistically independent.
+stream(seed, *path) is the plain PCG64DXSM generator keyed by the full path,
+for the path samplers that serve as references in law.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Union
+from typing import Tuple, Union
 
 import numpy as np
 
 SeedLike = Union[int, np.random.SeedSequence]
 
-# numpy's PCG64DXSM.jumped step, round((phi - 1) * 2^128).
-STEP = 0x9E3779B97F4A7C15F39CC0605CEDC835
+# Philox4x32 round multipliers and Weyl key increments (Random123).
+PHILOX_M = (0xD2511F53, 0xCD9E8D57)
+PHILOX_W = (0x9E3779B9, 0xBB67AE85)
+PHILOX_ROUNDS = 10
+
+_MASK32 = 0xFFFFFFFF
 
 
 def seed_path(seed: SeedLike, *path: int) -> np.random.SeedSequence:
@@ -41,35 +46,55 @@ def seed_path(seed: SeedLike, *path: int) -> np.random.SeedSequence:
 
 
 def stream(seed: SeedLike, *path: int) -> np.random.Generator:
-    """Generator for the derived stream at (seed, *path).
+    """PCG64DXSM generator keyed by the full path, so stream(seed_path(seed, *path)) is stream(seed, *path)."""
+    return np.random.Generator(np.random.PCG64DXSM(seed_path(seed, *path)))
 
-    A SeedSequence's spawn key counts as the start of the path, so
-    stream(seed_path(seed, *path)) is stream(seed, *path), and
-    stream(seed, *prefix, rep) is the stream streams(seed_path(seed, *prefix),
-    lo, hi) yields for replication rep.
+
+def philox_key(seed: SeedLike) -> Tuple[int, int]:
+    """The 64-bit Philox key of a seed path, as two 32-bit words."""
+    k0, k1 = seed_path(seed).generate_state(2, np.uint32).tolist()
+    return k0, k1
+
+
+def philox(counter: tuple, key: Tuple[int, int]) -> tuple:
+    """Philox4x32-10 of four broadcastable uint32 counter arrays under a two-word key.
+
+    Each round multiplies words 0 and 2 into 64-bit products; their high
+    halves, xored with words 1 and 3 and the round key, become words 0 and 2,
+    and their low halves words 1 and 3, crosswise. The key grows by the Weyl
+    increments between rounds. Words 0, 2 and 1, 3 are kept as the two rows
+    of two uint64 arrays, so a round is five array operations.
     """
-    full = seed_path(seed, *path)
-    steps = tuple(full.spawn_key)
-    if not steps:
-        return np.random.Generator(np.random.PCG64DXSM(full))
-    key = np.random.SeedSequence(entropy=full.entropy, spawn_key=steps[:-1])
-    return np.random.Generator(np.random.PCG64DXSM(key).advance((steps[-1] + 1) * STEP))
+    x0, x1, x2, x3 = np.broadcast_arrays(*(np.asarray(c, dtype=np.uint32) for c in counter))
+    even = np.stack((x0, x2)).astype(np.uint64)
+    odd = np.stack((x1, x3)).astype(np.uint64)
+    shape = (2,) + (1,) * x0.ndim
+    mult = np.array(PHILOX_M, dtype=np.uint64).reshape(shape)
+    for r in range(PHILOX_ROUNDS):
+        round_key = [(k + r * w) & _MASK32 for k, w in zip(key, PHILOX_W)]
+        prod = even * mult
+        even = odd
+        even ^= (prod >> np.uint64(32))[::-1]
+        even ^= np.array(round_key, dtype=np.uint64).reshape(shape)
+        odd = (prod & np.uint64(_MASK32))[::-1]
+    return tuple(a.astype(np.uint32) for a in (even[0], odd[0], even[1], odd[1]))
 
 
-def streams(seed: SeedLike, lo: int, hi: int) -> Iterator[np.random.Generator]:
-    """The streams (seed, rep) for rep = lo, ..., hi - 1, from one reused generator.
+def words(key: Tuple[int, int], lo: int, hi: int, count: int) -> np.ndarray:
+    """(hi - lo, count) uint32 words: row i holds the first count words of replication lo + i.
 
-    Yields the same Generator each time, reset to its start state and advanced
-    to replication rep's jump, so it must be drawn from before the next one is
-    taken. Nothing carries over between replications: a half-used buffer or a
-    replication's draw count does not reach the next one.
+    Word 4 j + l of a replication is lane l of its Philox block j, the
+    bijection of counter (j, rep mod 2^32, rep >> 32, 0).
     """
-    if lo < 0:
-        raise ValueError("stream path components must be nonnegative")
-    bit_gen = np.random.PCG64DXSM(seed_path(seed))
-    gen = np.random.Generator(bit_gen)
-    start = bit_gen.state
-    for rep in range(lo, hi):
-        bit_gen.state = start
-        bit_gen.advance((rep + 1) * STEP)
-        yield gen
+    if lo < 0 or hi < lo:
+        raise ValueError("replications lo <= hi must be nonnegative")
+    blocks = -(-count // 4)
+    rep = np.arange(lo, hi, dtype=np.uint64)[:, None]
+    counter = (
+        np.arange(blocks, dtype=np.uint32)[None, :],
+        (rep & np.uint64(_MASK32)).astype(np.uint32),
+        (rep >> np.uint64(32)).astype(np.uint32),
+        np.zeros(1, dtype=np.uint32),
+    )
+    out = np.stack(philox(counter, key), axis=-1).reshape(hi - lo, 4 * blocks)
+    return out if count == 4 * blocks else np.ascontiguousarray(out[:, :count])

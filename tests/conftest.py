@@ -1,7 +1,17 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cltlab import FieldSpec, IidNormal, basis_matrix, uniform_grid
+
+# Tests that set no max_examples of their own (the row/block properties) take
+# it from the profile named by CLTLAB_HYPOTHESIS_PROFILE: "tier1" by default,
+# "rows" for the long run of those properties.
+settings.register_profile("tier1", max_examples=40, deadline=None)
+settings.register_profile("rows", max_examples=2000, deadline=None)
+settings.load_profile(os.environ.get("CLTLAB_HYPOTHESIS_PROFILE", "tier1"))
 
 
 @pytest.fixture

@@ -39,6 +39,12 @@ def test_grid_validation():
         custom_grid([0.5, math.nan], [0.5, 0.5])
 
 
+def test_grid_total_mass_past_float_range_is_a_value_error():
+    # each weight is finite, their sum is not: fsum overflows
+    with pytest.raises(ValueError, match="finite total mass"):
+        custom_grid([0.25, 0.75], [1e308, 1e308])
+
+
 def l2_error_identity(n):
     """|lp_norm(t, 2) - 3^(-1/2)| on the n-point midpoint grid."""
     g = uniform_grid(n)

@@ -21,8 +21,9 @@ from cltlab import (
 )
 from cltlab import montecarlo
 from cltlab.discretize import lp_norms
+from cltlab.fieldgen import Normal
 from cltlab.limitlaw import FACTOR_RTOL, LimitField
-from cltlab.rng import seed_path, stream
+from cltlab.rng import philox_key
 
 from conftest import assert_rel
 
@@ -145,12 +146,11 @@ def test_factorize_rejects_indefinite_matrices(data, n):
 
 
 def one_limit_replication(field, p, grid, seed, rep):
-    """Replication rep's norm computed on its own: its normals from stream(seed_path(seed, rep)), projected."""
-    z = stream(seed_path(seed, rep)).standard_normal(field.factor.shape[1])
-    return lp_norms(montecarlo.project(z[None, :], np.ascontiguousarray(field.factor.T)), p, grid)[0]
+    """Replication rep's norm computed on its own: its normals from the one-replication block (rep, rep + 1), projected."""
+    z = Normal(1.0).block(philox_key(seed), rep, rep + 1, field.factor.shape[1])
+    return lp_norms(montecarlo.project(z, np.ascontiguousarray(field.factor.T)), p, grid)[0]
 
 
-@settings(max_examples=40, deadline=None)
 @given(
     data=st.data(),
     size=st.integers(2, 12),

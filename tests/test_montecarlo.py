@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import ks_2samp
+from scipy.stats import binom, chisquare, ks_2samp, kstest
 
 from cltlab import (
     Ar1,
@@ -24,16 +24,15 @@ from cltlab import (
     empirical_cov,
     estimate_moment,
     replicate_norms,
-    seed_path,
     simulate_sn,
     summarize_norm_powers,
     uniform_grid,
     write_norms_csv,
 )
 from cltlab.discretize import lp_norms
-from cltlab.fieldgen import Rademacher
+from cltlab.fieldgen import Normal, Rademacher
 from cltlab.montecarlo import CHUNK, CI_Z, MIN_REPS, project, sn_blocks
-from cltlab.rng import stream, streams
+from cltlab.rng import philox_key, words
 
 from conftest import assert_rel
 
@@ -108,9 +107,9 @@ DRIVER_IDS = ["iid_normal", "iid_rademacher", "ma_q", "ar1"]
 
 
 def one_replication(spec, n, grid, seed, rep):
-    """Replication rep's row computed on its own: its k time sums from stream(seed_path(seed, rep)), projected."""
+    """Replication rep's row computed on its own: its k time sums from the one-replication block (rep, rep + 1), projected."""
     law = spec.driver.time_sum_law(n, spec.scales(n))
-    sums = law.draw(stream(seed_path(seed, rep)), spec.n_components) * law.sd
+    sums = law.block(philox_key(seed), rep, rep + 1, spec.n_components)[0] * law.sd
     return project(sums[None, :] / math.sqrt(n), spec.basis)[0]
 
 
@@ -124,13 +123,11 @@ def test_block_rows_match_simulate_sn(grid16, driver, scale_decay):
     # only scaled Rademacher draws the path
     path = getattr(spec.driver.time_sum_law(48, spec.scales(48)), "c", None) is not None
     assert path == (isinstance(driver, IidRademacher) and scale_decay is not None)
+    # a row does not depend on the block it is computed in; the path
+    # samplers are its reference in law only (test_exact_time_sums_agree_with_path_sums_in_law)
     for i, rep in enumerate(range(lo, hi)):
-        # a row does not depend on the block it is computed in
         assert np.array_equal(sn_blocks(spec, 48, grid16, 11)(rep, rep + 1)[0], block[i])
         assert np.array_equal(one_replication(spec, 48, grid16, 11, rep), block[i])
-        if path:
-            direct = simulate_sn(spec, 48, grid16, seed_path(11, rep))
-            assert np.allclose(block[i], direct, rtol=0.0, atol=1e-12)
 
 
 def _path_sums(driver, n, scales, reps, seed):
@@ -143,16 +140,13 @@ LAW_CASES = [(d, i, sd) for d, i in zip(DRIVERS, DRIVER_IDS) for sd in (None, 0.
 
 
 @pytest.mark.parametrize(
-    "driver,scale_decay",
-    [(d, sd) for d, i, sd in LAW_CASES if not (i == "iid_rademacher" and sd is not None)],
-    ids=[f"{i}-{sd}" for d, i, sd in LAW_CASES if not (i == "iid_rademacher" and sd is not None)],
+    "driver,scale_decay", [(d, sd) for d, i, sd in LAW_CASES], ids=[f"{i}-{sd}" for d, i, sd in LAW_CASES]
 )
 def test_exact_time_sums_agree_with_path_sums_in_law(grid16, driver, scale_decay):
     n, reps = 64, 4000
     spec = FieldSpec(basis=basis_matrix("fourier", 3, grid16), driver=driver, scale_decay=scale_decay)
     law = spec.driver.time_sum_law(n, spec.scales(n))
-    assert getattr(law, "c", None) is None
-    exact = np.concatenate([law.draw(rng, spec.n_components) * law.sd for rng in streams(5, 0, reps // spec.n_components)])
+    exact = law.block(philox_key(5), 0, reps // spec.n_components, spec.n_components).ravel() * law.sd
     path = _path_sums(driver, n, spec.scales(n), exact.size, 6)
     assert ks_2samp(exact, path).pvalue > 1e-3
     # second and fourth moments agree within 4 standard errors of their difference
@@ -209,13 +203,79 @@ def test_exact_sum_variance_against_oracle(grid16, driver):
 
 @pytest.mark.parametrize("n,k", [(1, 1), (7, 3), (48, 4)])
 def test_weighted_rademacher_law_sums_sample_component_path(n, k):
-    # a time weight per step, as scale_decay gives; the same stream draws the same signs
+    # in law: the block sums against weighted sample_component path sums
+    c = 1.0 + 0.5 / np.arange(1, n + 1)
+    sums = Rademacher(n, c).block(philox_key(n), 0, 12000 // k, k).ravel()
+    path = _path_sums(IidRademacher(), n, c, sums.size, 7)
+    assert ks_2samp(sums, path).pvalue > 1e-3
+    assert abs(sums.mean() - path.mean()) < 4.0 * math.sqrt(2.0 * np.sum(c**2) / sums.size)
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (7, 3), (48, 4), (70, 2)])
+def test_weighted_rademacher_law_sums_its_sign_bits(n, k):
+    # a time weight per step, as scale_decay gives; bit b of word w is step 32 w + b
     c = 1.0 + 0.5 / np.arange(1, n + 1)
     law = Rademacher(n, c)
-    for seed in range(5):
-        path = IidRademacher(k=k).sample_component(stream(seed), n, k)
-        assert np.array_equal(law.draw(stream(seed), k), (path * c).sum(axis=1))
+    key, m = philox_key(3), -(-n // 32)
+    sums = law.block(key, 2, 7, k)
+    w = words(key, 2, 7, k * m)
+    for i in range(5):
+        for j in range(k):
+            signs = np.array([1.0 if int(w[i, j * m + t // 32]) >> (t % 32) & 1 else -1.0 for t in range(n)])
+            assert sums[i, j] == (signs * c).sum()
+    # unit weights give the popcount sums exactly
+    assert np.array_equal(Rademacher(n, np.ones(n)).block(key, 2, 7, k), Rademacher(n).block(key, 2, 7, k))
     assert law.sd == 1.0
+
+
+def test_block_normals_are_standard_normal():
+    z = Normal(1.0).block(philox_key(8), 0, 100_000, 3).ravel()
+    assert kstest(z, "norm").pvalue > 1e-3
+    # E z^r for r = 1..4 within 4 standard errors; Var(z^r) is 1, 2, 15 and 96
+    for r, exact, var in ((1, 0.0, 1.0), (2, 1.0, 2.0), (3, 0.0, 15.0), (4, 3.0, 96.0)):
+        assert abs(np.mean(z**r) - exact) < 4.0 * math.sqrt(var / z.size), r
+
+
+@pytest.mark.parametrize("n", [16, 37, 1024])
+def test_unscaled_rademacher_sums_are_binomial(n):
+    # 37 = 32 + 5 leaves a masked last word
+    sums = Rademacher(n).block(philox_key(n), 0, 50_000, 4).ravel()
+    heads = (sums + n) / 2.0
+    assert np.array_equal(heads, np.round(heads)) and heads.min() >= 0 and heads.max() <= n
+    heads = heads.astype(int)
+    # chi-square on the exact Binomial(n, 1/2) pmf, tails below 1e-4 lumped into the end cells
+    lo, hi = int(binom.ppf(1e-4, n, 0.5)), int(binom.isf(1e-4, n, 0.5))
+    observed = np.bincount(np.clip(heads, lo, hi) - lo, minlength=hi - lo + 1)
+    pmf = binom.pmf(np.arange(lo, hi + 1), n, 0.5)
+    pmf[0], pmf[-1] = binom.cdf(lo, n, 0.5), binom.sf(hi - 1, n, 0.5)
+    assert chisquare(observed, pmf / pmf.sum() * heads.size).pvalue > 1e-3
+
+
+TIME_SUM_LAWS = st.one_of(
+    st.floats(0.1, 10.0).map(Normal),
+    st.integers(1, 300).map(Rademacher),
+    st.integers(1, 300).map(lambda n: Rademacher(n, 1.0 + 0.5 / np.arange(1, n + 1))),
+)
+
+
+@given(
+    law=TIME_SUM_LAWS,
+    k=st.integers(1, 40),
+    seed=st.integers(0, 2**64),
+    lo=st.integers(0, 2**40),
+    size=st.integers(1, 40),
+    data=st.data(),
+)
+def test_law_rows_are_one_replication_blocks(law, k, seed, lo, size, data):
+    key = philox_key(seed)
+    block = law.block(key, lo, lo + size, k)
+    assert block.shape == (size, k)
+    for i in range(size):
+        assert np.array_equal(law.block(key, lo + i, lo + i + 1, k)[0], block[i])
+    a = data.draw(st.integers(0, size - 1))
+    b = data.draw(st.integers(a + 1, size))
+    assert np.array_equal(law.block(key, lo + a, lo + b, k), block[a:b])
+
 
 ENGINE_DRIVERS = st.one_of(
     st.builds(IidNormal, sigma=st.floats(0.0, 10.0), k=st.integers(1, 4)),
@@ -231,7 +291,6 @@ ENGINE_DRIVERS = st.one_of(
 )
 
 
-@settings(max_examples=40, deadline=None)
 @given(
     driver=ENGINE_DRIVERS,
     scale_decay=st.one_of(st.none(), st.floats(0.0, 2.0)),

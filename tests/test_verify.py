@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, kstest
 
 from cltlab import (
     FieldSpec,
@@ -106,6 +106,16 @@ def test_verify_clt_gaussian_closed_case(const_normal_field, grid16):
     last = summary.verdicts[-1]
     assert last.n == 64 and last.passed and last.reps_limit == 1600
     assert 0.0 <= last.ks_stat <= 1.0 and 0.0 <= last.p_value <= 1.0
+
+
+def test_verify_clt_null_p_values_are_uniform(const_normal_field, grid16):
+    # S_n of the const iid-normal field has exactly its limit law, so over
+    # fixed seeds the p-values at n = 1024 are null draws: a null control for
+    # the streams, the sampler and the KS test together
+    p_values = [
+        verify_clt(const_normal_field, [1024], 2.0, grid16, 200, seed=s).verdicts[-1].p_value for s in range(300)
+    ]
+    assert kstest(p_values, "uniform").pvalue > 0.01
 
 
 def test_verify_clt_rejects_wrong_limit(const_normal_field, grid16):
