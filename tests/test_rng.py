@@ -1,4 +1,4 @@
-"""Random numbers: Philox4x32-10 known answers, counter layout, and keyed PCG64DXSM streams."""
+"""Random numbers: Philox4x32-10 known answers, counter layout, and jumped PCG64DXSM streams."""
 
 import numpy as np
 import pytest
@@ -70,11 +70,16 @@ def test_word_rows_are_one_replication_blocks(seed, lo, size, count):
         assert np.array_equal(w[i], words(key, lo + i, lo + i + 1, count)[0])
 
 
+def jumped_oracle(seed, prefix, rep):
+    """numpy's own jumped substream, independent of the package's derivation."""
+    key = np.random.SeedSequence(seed, spawn_key=prefix)
+    return np.random.Generator(np.random.PCG64DXSM(key).jumped(rep + 1))
+
+
 @pytest.mark.parametrize("prefix", [(), (1,), (0, 1024)])
 @pytest.mark.parametrize("rep", [0, 1, 255, 10**6])
-def test_stream_is_pcg64dxsm_keyed_by_the_full_path(prefix, rep):
-    key = np.random.SeedSequence(7, spawn_key=prefix + (rep,))
-    expected = np.random.Generator(np.random.PCG64DXSM(key)).standard_normal(40)
+def test_stream_is_numpys_jumped_substream(prefix, rep):
+    expected = jumped_oracle(7, prefix, rep).standard_normal(40)
     assert np.array_equal(stream(7, *prefix, rep).standard_normal(40), expected)
     # a derived sequence carries its path: the same stream
     assert np.array_equal(stream(seed_path(7, *prefix, rep)).standard_normal(40), expected)
