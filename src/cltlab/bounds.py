@@ -35,6 +35,11 @@ MAX_ORDER = 64
 # geometric tail's term budget, and the cap on explicit terms elsewhere.
 MAX_TERMS = 1 << 21
 
+# Where the geometric tail stops: the tail bound after the summed terms is at
+# most this times the largest term, so it fixes the bracket's width relative to
+# that term. The returned value is an upper bound whatever the constant is.
+GEOMETRIC_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class UtevConstant:
@@ -178,19 +183,19 @@ def _power_sum(amp: float, j_hi: int, d: float) -> _SeriesSum:
         return _checked(hi, 0, hi - lo)
 
 
-def _zeta_tail(amp: float, p: Fraction, r0: int, min_terms: int) -> _SeriesSum:
+def _zeta_tail(amp: float, p: Fraction, r0: int) -> _SeriesSum:
     """amp * sum_{r>=r0} (r+1)^-p = amp * zeta(p, r0 + 1); +inf unless p > 1.
 
-    n = max(32, min_terms) terms are summed, then the Euler-Maclaurin tail at
-    a = r0 + 1 + n through the B6 term. x^-p is completely monotone, so the
-    error has the sign of the first omitted (B8) term, negative, and is smaller
-    in size (DLMF 2.10.1). The sum falls as p grows, so the upper end is taken
+    n = 32 terms are summed, then the Euler-Maclaurin tail at a = r0 + 1 + n
+    through the B6 term. x^-p is completely monotone, so the error has the
+    sign of the first omitted (B8) term, negative, and is smaller in size
+    (DLMF 2.10.1). The sum falls as p grows, so the upper end is taken
     below p and the lower end, less |B8 term|, above it.
     """
     p = _enclose(p)
     if p[0] <= 1.0:
         return _INF
-    n = min(max(32, min_terms), MAX_TERMS)
+    n = 32
     a = r0 + 1.0 + n
     head = (r0 + 1.0 + np.arange(float(n)))[:, None] ** -p
     f = a**-p
@@ -204,15 +209,16 @@ def _zeta_tail(amp: float, p: Fraction, r0: int, min_terms: int) -> _SeriesSum:
     return _checked(amp * ends[0], n, amp * (ends[0] - ends[1] + b8[1] / 1209600.0))
 
 
-def _geometric_tail(amp: float, q_lo: float, q_hi: float, d: float, r0: int, tol: float, min_terms: int) -> _SeriesSum:
+def _geometric_tail(amp: float, q_lo: float, q_hi: float, d: float, r0: int) -> _SeriesSum:
     """amp * sum_{r>=r0} q^r (r+1)^d for q in [q_lo, q_hi] below 1 and d >= 0.
 
     d = 0 has the closed form amp q^r0 / (1 - q). Otherwise the sum stops at
-    the first R, min_terms terms in, where kappa(R) = q ((R+3)/(R+2))^d < 1 and
+    the first R >= r0 where kappa(R) = q ((R+3)/(R+2))^d < 1 and
     T(R) = amp q^(R+1) (R+2)^d / (1 - kappa(R)), a bound on the tail after R,
-    is at most tol times the largest term; T falls with R, so R is bisected.
-    Where the terms still grow at the end of the MAX_TERMS budget (kappa >= 1
-    there), the whole tail is bracketed by integrals instead, with no array.
+    is at most GEOMETRIC_TOL times the largest term; T falls with R, so R is
+    bisected. Where the terms still grow at the end of the MAX_TERMS budget
+    (kappa >= 1 there), the whole tail is bracketed by integrals instead,
+    with no array.
     """
     if q_hi >= 1.0:
         return _INF
@@ -227,11 +233,11 @@ def _geometric_tail(amp: float, q_lo: float, q_hi: float, d: float, r0: int, tol
             return math.inf
         return (R + 1) * log_q + d * math.log(R + 2.0) - math.log1p(-math.exp(log_kappa))
 
-    R, last = r0 + min(max(min_terms, 1), MAX_TERMS) - 1, r0 + MAX_TERMS - 1
+    R, last = r0, r0 + MAX_TERMS - 1
     if math.isinf(log_tail(last)):
         return _geometric_integral_tail(amp, q_lo, q_hi, d, r0)
     peak = max(r0, int(-d / log_q) - 1)
-    target = math.log(tol) + peak * log_q + d * math.log(peak + 1.0)
+    target = math.log(GEOMETRIC_TOL) + peak * log_q + d * math.log(peak + 1.0)
     while R < last:
         mid = (R + last) // 2
         if log_tail(mid) <= target:
@@ -288,7 +294,7 @@ def _first_unclipped(profile: MixingProfile) -> int:
     return r0 - 1 if r0 > 2 and value_at(profile, r0 - 1) < ALPHA_CAP else r0
 
 
-def _lag_series(profile: MixingProfile, e: Fraction, d: float, tol: float, min_terms: int) -> _SeriesSum:
+def _lag_series(profile: MixingProfile, e: Fraction, d: float) -> _SeriesSum:
     """sum_{r>=1} value_at(profile, r)^e (r+1)^d for 0 < e <= 1 and d >= 0.
 
     value_at applies the alpha cap and the beta m-dependent convention. Lags
@@ -306,29 +312,28 @@ def _lag_series(profile: MixingProfile, e: Fraction, d: float, tol: float, min_t
     r0 = _first_unclipped(profile)
     head = _power_sum(ALPHA_CAP ** float(e), r0, d)
     if isinstance(dec, Polynomial):
-        return head + _zeta_tail(dec.c ** float(e), polynomial_power(dec.theta, e, d), r0, min_terms)
+        return head + _zeta_tail(dec.c ** float(e), polynomial_power(dec.theta, e, d), r0)
     q_lo = q_hi = dec.rho
     if e != 1:  # rho^e falls as e grows, and pow is within an ulp
         e_lo, e_hi = _enclose(e)
         q_lo, q_hi = math.nextafter(dec.rho**e_hi, 0.0), math.nextafter(dec.rho**e_lo, 1.0)
-    return head + _geometric_tail(dec.c ** float(e), q_lo, q_hi, d, r0, tol, min_terms)
+    return head + _geometric_tail(dec.c ** float(e), q_lo, q_hi, d, r0)
 
 
-def _alpha_series(profile: MixingProfile, s: int, v: float, tol: float, min_terms: int) -> _SeriesSum:
+def _alpha_series(profile: MixingProfile, s: int, v: float) -> _SeriesSum:
     """sum_{r>=0} alpha(r)^(1-s/v) (r+1)^(s/2-1) with alpha(0) = 1/4, the universal
     bound that reduces the independent case to the closed form a_s (1/4)^(1-s/v)."""
     e = alpha_power(s, v)
-    return _SeriesSum(ALPHA_CAP ** float(e), 1, 0.0) + _lag_series(profile, e, s / 2.0 - 1.0, tol, min_terms)
+    return _SeriesSum(ALPHA_CAP ** float(e), 1, 0.0) + _lag_series(profile, e, s / 2.0 - 1.0)
 
 
-def z_value(
-    profile: MixingProfile, s: int, v: float, tol: float = 1e-10, min_terms: int = 0
-) -> BoundReport:
+def z_value(profile: MixingProfile, s: int, v: float) -> BoundReport:
     """Mixing-series constant Z = (a_s * sum_r alpha^(1-s/v)(r) (r+1)^(s/2-1))^(1/s).
 
     Returns a report fragment (y_value and bound unset). Z uses the upper end
     of a certified bracket on the series: truncation_remainder is its width,
-    truncation_terms the summed terms, and min_terms a floor on those terms.
+    truncation_terms the summed terms. A geometric tail stops where its bound
+    is GEOMETRIC_TOL times the largest term; a polynomial one after 32 terms.
     Divergent series give z_value = +inf, never an exception.
     """
     s = _require_even_order(s)
@@ -336,9 +341,7 @@ def z_value(
         raise ValueError("z_value needs an alpha profile")
     if not (v > s):
         raise ValueError("requires v > s")
-    if not (tol > 0.0):
-        raise ValueError("tolerance must be positive")
-    ssum = _alpha_series(profile, s, float(v), tol, int(min_terms))
+    ssum = _alpha_series(profile, s, float(v))
     z = (float(utev_a(s).value) * ssum.total) ** (1.0 / s)
     return BoundReport(
         s=s,
@@ -393,7 +396,6 @@ def optimize_over_v(
     s: int,
     x_vnorm: Callable[[float], float],
     v_grid: Optional[Sequence[float]] = None,
-    tol: float = 1e-10,
 ) -> VOptimum:
     """Minimize Z[alpha](s, v) * ||X||_v over a finite grid of v > s.
 
@@ -410,7 +412,7 @@ def optimize_over_v(
     evaluations = []
     best_v, best = None, math.inf
     for v in grid:
-        z = z_value(profile, s, v, tol=tol).z_value
+        z = z_value(profile, s, v).z_value
         val = normed_sum_bound(x_vnorm(v), z)
         evaluations.append((v, val))
         if val < best:
@@ -418,9 +420,7 @@ def optimize_over_v(
     return VOptimum(v_star=best_v, bound=best, evaluations=tuple(evaluations))
 
 
-def lp_moment_bound(
-    profile: MixingProfile, s: int, v: float, sup_v_norm_integral: float, tol: float = 1e-10
-) -> float:
+def lp_moment_bound(profile: MixingProfile, s: int, v: float, sup_v_norm_integral: float) -> float:
     """Bound W = Z^s * I^(s/v) on sup_n E ||S_n||_{L^s(T)}^s.
 
     I is the integral over T of the supremum over i of E|xi_i(t)|^v. A null
@@ -436,11 +436,11 @@ def lp_moment_bound(
         raise ValueError("lp_moment_bound needs an alpha profile")
     if not (v > s):
         raise ValueError("requires v > s")
-    ssum = _alpha_series(profile, s, float(v), tol, 0)
+    ssum = _alpha_series(profile, s, float(v))
     return float(utev_a(s).value) * ssum.total * integral ** (s / float(v))
 
 
-def nachapetyan_k(profile: MixingProfile, s: float, tol: float = 1e-10, min_terms: int = 0) -> float:
+def nachapetyan_k(profile: MixingProfile, s: float) -> float:
     """Superstrong-mixing constant K_N = 2s * (sum_{k>=1} beta(k) (k+1)^((s-2)/2))^(1/s).
 
     Upper end of a certified bracket (see z_value); +inf if divergent, 0 if beta vanishes from lag 1.
@@ -450,9 +450,7 @@ def nachapetyan_k(profile: MixingProfile, s: float, tol: float = 1e-10, min_term
     s = float(s)
     if not (2.0 <= s < math.inf):
         raise ValueError("requires 2 <= s < inf")
-    if not (tol > 0.0):
-        raise ValueError("tolerance must be positive")
-    ssum = _lag_series(profile, Fraction(1), (s - 2.0) / 2.0, tol, int(min_terms))
+    ssum = _lag_series(profile, Fraction(1), (s - 2.0) / 2.0)
     return 2.0 * s * ssum.total ** (1.0 / s)
 
 

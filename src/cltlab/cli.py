@@ -155,9 +155,7 @@ _SAMPLED = (
     Key("reps", INT, "replications per n", required=True),
 )
 _SCHEDULED = _SAMPLED + (Key("n_schedule", INTS, "sample sizes n, by default 16, 32, ..., 4096", flag=False),)
-_TOL = Key("tol", FLOAT, "series truncation tolerance", default=1e-10, flag=False)
 _AUDITED = _SCHEDULED + (
-    _TOL,
     Key("sup_reps", INT, "replications of the sup-norm for a non-Gaussian driver", default=2000, flag=False),
 )
 
@@ -268,12 +266,12 @@ def _cmd_bounds(c: argparse.Namespace) -> Tuple[dict, int, list]:
         raise ConfigError("v / sup_v_norm / y need a mixing 'profile'")
     if c.profile is not None:
         v = c.v if c.v is not None else float(2 * s)
-        report = z_value(c.profile, s, v, tol=c.tol)
+        report = z_value(c.profile, s, v)
         rows.append((f"Z(s={s}, v={v:g})", _fmt(report.z_value)))
         results["profile"] = profile_to_dict(c.profile)
         results["z"] = report
         if c.sup_v_norm is not None:
-            w = lp_moment_bound(c.profile, s, v, c.sup_v_norm, c.tol)
+            w = lp_moment_bound(c.profile, s, v, c.sup_v_norm)
             rows.append(("W = Z^s * I^(s/v)", _fmt(w)))
             results["sup_v_norm"] = c.sup_v_norm
             results["w"] = w
@@ -285,7 +283,7 @@ def _cmd_bounds(c: argparse.Namespace) -> Tuple[dict, int, list]:
         elif c.y is not None:
             raise ConfigError("tail levels 'y' need 'sup_v_norm' to form W first")
     if c.beta_profile is not None:
-        k_n = nachapetyan_k(c.beta_profile, max(c.s, 2.0), c.tol)
+        k_n = nachapetyan_k(c.beta_profile, max(c.s, 2.0))
         rows.append((f"K_N(s={max(c.s, 2.0):g})", _fmt(k_n)))
         results["beta_profile"] = profile_to_dict(c.beta_profile)
         results["k_n"] = k_n
@@ -355,7 +353,7 @@ def _bound_lines(verdict) -> list:
     return lines
 
 
-_AUDIT_OPTIONS = ("n_schedule", "seed", "threads", "tol", "sup_reps")
+_AUDIT_OPTIONS = ("n_schedule", "seed", "threads", "sup_reps")
 
 
 def _cmd_verify_bounds(c: argparse.Namespace) -> Tuple[dict, int, list]:
@@ -393,7 +391,6 @@ COMMANDS: Dict[str, Command] = {
         Key("sup_v_norm", FLOAT, "sup-norm integral I, to form W = Z^s * I^(s/v)", flag=False),
         Key("y", FLOATS, "tail levels for Chebyshev bounds from W", flag=False),
         Key("beta_profile", BETA_PROFILE, "beta profile, same forms"),
-        _TOL,
     )),
     "simulate": Command("Monte Carlo moment of the normalized sum norm", _cmd_simulate, _SAMPLED + (
         Key("n", INT, "sample size", required=True),

@@ -245,7 +245,6 @@ def verify_moment_bound(
     n_schedule: Optional[Sequence[int]] = None,
     seed: SeedLike = 0,
     threads: int = 1,
-    tol: float = 1e-10,
     sup_reps: int = 2000,
 ) -> BoundVerdict:
     """Audit sup_n E||S_n||_s^s <= W = Z^s I^(s/v) for the profile certified by the driver.
@@ -257,7 +256,7 @@ def verify_moment_bound(
     most W. Divergent W gives a vacuous verdict (satisfied, flagged), never an
     exception.
     """
-    bound = partial(lp_moment_bound, profile_for_driver(spec.driver), s, v, tol=tol)
+    bound = partial(lp_moment_bound, profile_for_driver(spec.driver), s, v)
     return _audit(spec, s, v, grid, reps, n_schedule, seed, threads, sup_reps, bound, "mixing-series")
 
 
@@ -270,7 +269,6 @@ def verify_superstrong(
     n_schedule: Optional[Sequence[int]] = None,
     seed: SeedLike = 0,
     threads: int = 1,
-    tol: float = 1e-10,
     sup_reps: int = 2000,
 ) -> BoundVerdict:
     """Audit the superstrong-mixing bound (K_N I^(1/s))^s on sup_n E||S_n||_s^s.
@@ -279,7 +277,7 @@ def verify_superstrong(
     verdict is satisfied only if the largest upper 99% CI limit over the
     schedule is at most the bound.
     """
-    k_n = nachapetyan_k(beta_profile, s, tol)
+    k_n = nachapetyan_k(beta_profile, s)
 
     def bound(integral: float) -> float:
         return nachapetyan_bound(k_n, integral ** (1.0 / s)) ** s

@@ -9,6 +9,7 @@ import math
 import time
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -97,12 +98,19 @@ def test_acceptance_3_series_engine_closed_forms():
         got = z_value(iid, s, v).z_value
         ok = ok and abs(got - closed) / closed < 1e-12
     geo = MixingProfile(kind="alpha", decay=Geometric(c=1.0, rho=0.5))
-    base = z_value(geo, 4, 8, tol=1e-12)
-    doubled = z_value(geo, 4, 8, tol=1e-12, min_terms=2 * base.truncation_terms)
-    ok = ok and abs(doubled.z_value - base.z_value) / base.z_value < 1e-10
+    rep, a = z_value(geo, 4, 8), utev_a(4).value
+    width = rep.truncation_remainder / (rep.z_value**4 / a)
+    ok = ok and width <= 1e-10
+    # the bracket holds sum_{r>=0} alpha(r)^(1/2) (r+1) = 1/2 + 1 + Li_{-1}(q)/q - 1 - 2q, q = sqrt(1/2)
+    with mpmath.workdps(40):
+        q = mpmath.sqrt(mpmath.mpf(1) / 2)
+        total = mpmath.polylog(-1, q) / q + mpmath.mpf(1) / 2 - 2 * q
+        exact = mpmath.root(a * total, 4)
+        upper = mpmath.root(a * (total + rep.truncation_remainder), 4)
+        ok = ok and exact * (1 - 1e-15) <= rep.z_value <= upper + 1e-15 * exact
     dt = time.perf_counter() - t0
     ok = ok and dt < 1.0
-    assert verdict(3, ok, f"iid closed forms to 1e-12, truncation stable, {dt:.3f}s")
+    assert verdict(3, ok, f"iid closed forms to 1e-12, geometric bracket {width:.1e} wide holds Li_-1, {dt:.3f}s")
 
 
 def test_acceptance_4_quadrature_error_order():

@@ -124,7 +124,7 @@ def test_z_value_polynomial_against_zeta_oracle():
     prof = MixingProfile("alpha", Polynomial(c=1.0, theta=3.0))
     with mpmath.workdps(30):
         oracle = float(mpmath.sqrt(1008 * (mpmath.zeta(1.5) - mpmath.mpf(1) / 2)))
-    assert_rel(z_value(prof, 2, 4.0, tol=1e-12).z_value, oracle, 1e-10)
+    assert_rel(z_value(prof, 2, 4.0).z_value, oracle, 1e-10)
 
 
 def test_z_value_divergent_polynomial_is_inf():
@@ -135,9 +135,16 @@ def test_z_value_divergent_polynomial_is_inf():
 
 
 def test_z_value_truncation_stability_geometric():
-    base = z_value(GEO, 4, 8.0, tol=1e-10)
-    doubled = z_value(GEO, 4, 8.0, tol=1e-10, min_terms=2 * max(base.truncation_terms, 1))
-    assert_rel(doubled.z_value, base.z_value, 1e-10)
+    # the geometric stop leaves a bracket at most 1e-10 of the largest term wide,
+    # and so of the series; series = 1/2 + 1 + sum_{r>=2} (r+1) q^r, q = sqrt(1/2)
+    rep = z_value(GEO, 4, 8.0)
+    a = utev_a(4).value
+    assert rep.truncation_remainder <= 1e-10 * rep.z_value**4 / a
+    with mpmath.workdps(40):
+        q = mpmath.sqrt(mpmath.mpf(1) / 2)
+        total = mpmath.polylog(-1, q) / q + mpmath.mpf(1) / 2 - 2 * q
+        exact = mpmath.root(a * total, 4)
+        assert_certified(rep.z_value, exact, mpmath.root(a * (total + rep.truncation_remainder), 4) - exact)
 
 
 def test_z_value_validation():
@@ -145,8 +152,6 @@ def test_z_value_validation():
         z_value(IID, 2, 2.0)
     with pytest.raises(ValueError):
         z_value(MixingProfile("beta", MDependent(0)), 2, 4.0)
-    with pytest.raises(ValueError):
-        z_value(IID, 2, 4.0, tol=0.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -336,7 +341,7 @@ def assert_z_certified(profile, s, v):
 
 def assert_k_certified(profile, s):
     k_n = nachapetyan_k(profile, s)
-    remainder = _lag_series(profile, Fraction(1), (s - 2.0) / 2.0, 1e-10, 0).remainder
+    remainder = _lag_series(profile, Fraction(1), (s - 2.0) / 2.0).remainder
     with mpmath.workdps(40):
         total, inv_s = exact_series(profile, s), 1 / mpmath.mpf(s)
         exact = 2 * s * total**inv_s

@@ -372,6 +372,13 @@ def test_sup_mode_is_an_unknown_key(tmp_path, capsys):
     assert_one_config_error(capsys)
 
 
+def test_tol_is_an_unknown_key(tmp_path, capsys):
+    # the geometric series stop is a fixed constant of the engine, not an option
+    for command in ("bounds", "verify-bounds", "verify-superstrong"):
+        assert run_config(tmp_path, command, dict(RUNNABLE[command], tol=1e-10)) == 2
+        assert_one_config_error(capsys)
+
+
 PATH_CASES = {
     "out": ("tail", TAIL),
     "csv": ("simulate", SIM),
@@ -526,7 +533,6 @@ def valid_values(command, tmp_path):
         "v": st.sampled_from([8.0, 10.0]),
         "w": st.floats(0.0, 10.0),
         "y": st.one_of(st.floats(1.0, 100.0), st.lists(st.floats(1.0, 100.0), min_size=1, max_size=3)),
-        "tol": st.sampled_from([1e-10, 1e-6]),
         "sup_reps": st.integers(100, 150),
         "sup_v_norm": st.floats(0.5, 2.0),
         "significance": st.sampled_from([0.01, 0.05]),
