@@ -10,7 +10,6 @@ the Chebyshev tail table Q(y) <= min(1, W/y^s).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -477,18 +476,12 @@ def chebyshev_tail(w: float, s: float, y_grid: Sequence[float]) -> TailReport:
     return TailReport(w=w, s=s, y=tuple(y.tolist()), q_bound=tuple(q.tolist()))
 
 
-def effective_even_order(s: float, unit_mass: bool = True) -> int:
+def effective_even_order(s: float) -> int:
     """Smallest even integer >= s, for lifting a fractional order to an even one.
 
-    The lift relies on norm monotonicity, which needs total mass 1; callers on
-    non-probability grids get a warning rather than a silent wrong answer.
+    The lift relies on norm monotonicity, which needs total mass 1.
     """
     s = float(s)
     if not (s >= 2.0) or math.isinf(s):
         raise ValueError("requires 2 <= s < inf")
-    if not unit_mass:
-        warnings.warn(
-            "effective even order lift assumes total mass 1; rescale the measure first",
-            stacklevel=2,
-        )
     return int(math.ceil(s / 2.0)) * 2

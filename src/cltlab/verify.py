@@ -114,8 +114,10 @@ def verify_clt(
     The limit sample is limit_factor times larger than each finite-n sample so
     limit sampling noise is subdominant. Convergence means: passed at the
     largest n, and no KS-statistic increase along the schedule by more than
-    twice the null sampling noise. limit_field overrides the model-implied
-    limit (power checks with a deliberately wrong limit).
+    twice the null noise of a step. A step is the difference of two null
+    statistics, so that noise is sqrt(2) times noise_scale, the null noise of
+    one statistic. limit_field overrides the model-implied limit (power checks
+    with a deliberately wrong limit).
 
     For a Rademacher driver the p-values lean small at moderate n, and are not
     null draws, because the lattice law of S_n really differs from its limit:
@@ -153,7 +155,7 @@ def verify_clt(
     violations = tuple(
         (a.n, b.n, b.ks_stat - a.ks_stat)
         for a, b in zip(verdicts, verdicts[1:])
-        if b.ks_stat - a.ks_stat > 2.0 * noise
+        if b.ks_stat - a.ks_stat > 2.0 * math.sqrt(2.0) * noise
     )
     converged = verdicts[-1].passed and not violations
     return CltSummary(

@@ -3,7 +3,6 @@ independent oracle computed with exact integers or mpmath, frozen inline."""
 
 import math
 import time
-import warnings
 from fractions import Fraction
 
 import mpmath
@@ -270,10 +269,6 @@ def test_effective_even_order():
     assert effective_even_order(2.0001) == 4
     with pytest.raises(ValueError):
         effective_even_order(1.5)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        effective_even_order(3.0, unit_mass=False)
-    assert len(caught) == 1 and "mass" in str(caught[0].message)
 
 
 @settings(max_examples=40, deadline=None)

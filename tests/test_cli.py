@@ -184,7 +184,7 @@ def test_verify_clt_wrong_limit_exits_1(tmp_path, capsys):
             "n_schedule": [16, 32],
         },
     )
-    code = main(["verify-clt", "--config", cfg, "--limit-covariance-scale", "9.0"])
+    code = main(["verify-clt", "--config", cfg, "--limit-covariance-scale", "9.0", "--out", str(tmp_path / "r.json")])
     text = capsys.readouterr().out
     assert code == 1
     assert "overridden" in text and "converged: False" in text

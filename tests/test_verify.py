@@ -118,6 +118,16 @@ def test_verify_clt_null_p_values_are_uniform(const_normal_field, grid16):
     assert kstest(p_values, "uniform").pvalue > 0.01
 
 
+def test_verify_clt_trend_rule_is_sized_for_a_step():
+    # the iid-normal field has exactly its limit law at every n, so a KS step
+    # from n = 16 to 32 is a difference of two null statistics; a threshold of
+    # 2 x noise_scale flagged 28 of these 400 runs, 2 sqrt(2) x noise_scale 9
+    grid = uniform_grid(8)
+    spec = FieldSpec(basis=basis_matrix("fourier", 3, grid), driver=IidNormal(k=3))
+    flagged = sum(bool(verify_clt(spec, [16, 32], 3.0, grid, 200, seed=s).trend_violations) for s in range(400))
+    assert flagged <= 12
+
+
 def test_verify_clt_rejects_wrong_limit(const_normal_field, grid16):
     base = limit_covariance(const_normal_field, grid16)
     wrong = factorize_covariance(base.covariance * 9.0)
