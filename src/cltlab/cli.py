@@ -155,9 +155,6 @@ _SAMPLED = (
     Key("reps", INT, "replications per n", required=True),
 )
 _SCHEDULED = _SAMPLED + (Key("n_schedule", INTS, "sample sizes n, by default 16, 32, ..., 4096", flag=False),)
-_AUDITED = _SCHEDULED + (
-    Key("sup_reps", INT, "replications of the sup-norm for a non-Gaussian driver", default=2000, flag=False),
-)
 
 
 def _sanitize(obj):
@@ -327,7 +324,7 @@ def _cmd_verify_clt(c: argparse.Namespace) -> Tuple[dict, int, list]:
         injected = f"scale:{scale:g}"
     if c.dump_covariance:
         np.savetxt(c.dump_covariance, base.covariance, delimiter=",")
-    options = _options(c, "significance", "seed", "threads", "limit_factor")
+    options = _options(c, "significance", "seed", "threads")
     summary = verify_clt(spec, c.n_schedule, c.p, c.grid, c.reps, limit_field=limit_field, **options)
     lines = [
         f"n={v.n:>6}  ks={v.ks_stat:.6f}  p={v.p_value:.4f}  {'pass' if v.passed else 'FAIL'}"
@@ -353,7 +350,7 @@ def _bound_lines(verdict) -> list:
     return lines
 
 
-_AUDIT_OPTIONS = ("n_schedule", "seed", "threads", "sup_reps")
+_AUDIT_OPTIONS = ("n_schedule", "seed", "threads")
 
 
 def _cmd_verify_bounds(c: argparse.Namespace) -> Tuple[dict, int, list]:
@@ -401,16 +398,15 @@ COMMANDS: Dict[str, Command] = {
     "verify-clt": Command("KS-compare finite-n norms with the limit law", _cmd_verify_clt, _SCHEDULED + (
         Key("p", FLOAT, "L^p norm order", required=True),
         Key("significance", FLOAT, "KS test level, in (0, 0.1]", default=0.01),
-        Key("limit_factor", INT, "limit-law sample size as a multiple of reps", default=4, flag=False),
         Key("limit_covariance_scale", FLOAT, "scale the limit covariance"),
         Key("limit_covariance_csv", PATH, "load the limit covariance from CSV"),
         Key("dump_covariance", PATH, "write the model covariance to CSV"),
     )),
-    "verify-bounds": Command("audit the mixing-series moment bound", _cmd_verify_bounds, _AUDITED + (
+    "verify-bounds": Command("audit the mixing-series moment bound", _cmd_verify_bounds, _SCHEDULED + (
         Key("s", INT, "moment order", required=True),
         Key("v", FLOAT, "integrability order (> s)", required=True),
     )),
-    "verify-superstrong": Command("audit the superstrong-mixing bound", _cmd_verify_superstrong, _AUDITED + (
+    "verify-superstrong": Command("audit the superstrong-mixing bound", _cmd_verify_superstrong, _SCHEDULED + (
         Key("s", FLOAT, "moment order", required=True),
         Key("beta_profile", BETA_PROFILE, 'beta profile: "iid" or inline JSON', required=True),
     )),

@@ -26,8 +26,8 @@ from math import fsum
 import numpy as np
 
 from .discretize import GridSpace, lp_norms
-from .fieldgen import FieldSpec, TimeSumLaw, abs_normal_moment, check_sequence, sample_sequence
-# seed_path stays importable here for the tracing hooks in perfbench/tracing.py
+# sample_sequence and seed_path stay importable here for the tracing hooks in perfbench/tracing.py
+from .fieldgen import FieldSpec, TimeSumLaw, abs_normal_moment, check_sequence, sample_sequence  # noqa: F401
 from .rng import SeedLike, philox_key, seed_path  # noqa: F401
 
 # 99% two-sided normal quantile, used for every confidence interval here.
@@ -67,12 +67,6 @@ def check_reps(reps: int) -> int:
     if int(reps) != reps or reps < MIN_REPS:
         raise ValueError(f"needs at least {MIN_REPS} replications")
     return int(reps)
-
-
-def simulate_sn(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike) -> np.ndarray:
-    """One normalized-sum path on the grid."""
-    rows = sample_sequence(spec, n, grid, seed)
-    return rows.sum(axis=0) / math.sqrt(n)
 
 
 def project(coords: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -13,11 +13,8 @@ loop over replications. Integer arithmetic is exact, so a replication's
 words do not depend on the block it is computed in or on how many
 replications run beside it.
 
-stream(seed, *path) is a PCG64DXSM generator for the path samplers that
-serve as references in law: all but the last step of the path are hashed
-into its key, and the last step rep names that generator's (rep + 1)-th
-jump of round((phi - 1) * 2^128) draws, numpy's `jumped` substream. An
-empty path is the keyed generator itself, not jumped.
+stream(seed, *path) is the PCG64DXSM generator keyed by the whole seed
+path, for the path samplers that serve as references in law.
 """
 
 from __future__ import annotations
@@ -34,9 +31,6 @@ PHILOX_W = (0x9E3779B9, 0xBB67AE85)
 PHILOX_ROUNDS = 10
 
 _MASK32 = 0xFFFFFFFF
-
-# numpy's PCG64DXSM.jumped step, round((phi - 1) * 2^128).
-STEP = 0x9E3779B97F4A7C15F39CC0605CEDC835
 
 
 def seed_path(seed: SeedLike, *path: int) -> np.random.SeedSequence:
@@ -57,12 +51,7 @@ def stream(seed: SeedLike, *path: int) -> np.random.Generator:
     A SeedSequence's spawn key counts as the start of the path, so
     stream(seed_path(seed, *path)) is stream(seed, *path).
     """
-    full = seed_path(seed, *path)
-    steps = tuple(full.spawn_key)
-    if not steps:
-        return np.random.Generator(np.random.PCG64DXSM(full))
-    key = np.random.SeedSequence(entropy=full.entropy, spawn_key=steps[:-1])
-    return np.random.Generator(np.random.PCG64DXSM(key).advance((steps[-1] + 1) * STEP))
+    return np.random.Generator(np.random.PCG64DXSM(seed_path(seed, *path)))
 
 
 def philox_key(seed: SeedLike) -> Tuple[int, int]:

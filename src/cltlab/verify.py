@@ -37,6 +37,10 @@ from .rng import SeedLike, seed_path
 # Limiting std of sqrt(N) * D under the null, used to size trend noise.
 KS_STAT_STD = 0.26
 
+# The limit sample is this many times each finite-n sample, so limit-sampling
+# noise is the smaller part of a KS statistic's noise.
+LIMIT_FACTOR = 4
+
 SUP_LABEL = "max over simulated n schedule"
 
 
@@ -106,13 +110,12 @@ def verify_clt(
     significance: float = 0.01,
     seed: SeedLike = 0,
     threads: int = 1,
-    limit_factor: int = 4,
     limit_field: Optional[LimitField] = None,
 ) -> CltSummary:
     """KS-compare ||S_n||_p against the sampled limit law along an n schedule.
 
-    The limit sample is limit_factor times larger than each finite-n sample so
-    limit sampling noise is subdominant. Convergence means: passed at the
+    The limit sample is LIMIT_FACTOR times larger than each finite-n sample
+    so limit sampling noise is subdominant. Convergence means: passed at the
     largest n, and no KS-statistic increase along the schedule by more than
     twice the null noise of a step. A step is the difference of two null
     statistics, so that noise is sqrt(2) times noise_scale, the null noise of
@@ -129,11 +132,9 @@ def verify_clt(
     reps = check_reps(reps)
     if not (0.0 < significance <= 0.1):
         raise ValueError("significance must be in (0, 0.1]")
-    if int(limit_factor) != limit_factor or limit_factor < 1:
-        raise ValueError("limit_factor must be a positive integer")
     schedule = _schedule(n_schedule)
     field = limit_field if limit_field is not None else limit_covariance(spec, grid)
-    reps_limit = reps * int(limit_factor)
+    reps_limit = reps * LIMIT_FACTOR
     limit_norms = sample_limit_norms(field, p, grid, reps_limit, seed_path(seed, 1), threads)
     verdicts = []
     for n in schedule:
@@ -218,7 +219,6 @@ def _audit(
     n_schedule: Optional[Sequence[int]],
     seed: SeedLike,
     threads: int,
-    sup_reps: int,
     bound: Callable[[float], float],
     method: str,
 ) -> BoundVerdict:
@@ -227,7 +227,7 @@ def _audit(
     streams seed_path(seed, 0, n). method gets "/analytic" or "/monte_carlo"
     appended, as sup_v_norm found I for the driver."""
     schedule = _schedule(n_schedule)
-    integral = sup_v_norm(spec, grid, v, reps=sup_reps, seed=seed_path(seed, 1))
+    integral = sup_v_norm(spec, grid, v, seed=seed_path(seed, 1))
     theoretical = bound(integral)
     s = float(s)
     estimates = [
@@ -247,19 +247,18 @@ def verify_moment_bound(
     n_schedule: Optional[Sequence[int]] = None,
     seed: SeedLike = 0,
     threads: int = 1,
-    sup_reps: int = 2000,
 ) -> BoundVerdict:
     """Audit sup_n E||S_n||_s^s <= W = Z^s I^(s/v) for the profile certified by the driver.
 
     I is sup_v_norm at v: in closed form for a Gaussian driver, else a Monte
-    Carlo mean over sup_reps replications. The sup over n is approximated by
-    the max over the schedule and labeled as such, and read conservatively:
-    satisfied only if the largest upper 99% CI limit over the schedule is at
-    most W. Divergent W gives a vacuous verdict (satisfied, flagged), never an
+    Carlo mean over sup_v_norm's default 2000 replications. The sup over n is
+    approximated by the max over the schedule and labeled as such, and read
+    conservatively: satisfied only if the largest upper 99% CI limit over the
+    schedule is at most W. Divergent W gives a vacuous verdict (satisfied, flagged), never an
     exception.
     """
     bound = partial(lp_moment_bound, profile_for_driver(spec.driver), s, v)
-    return _audit(spec, s, v, grid, reps, n_schedule, seed, threads, sup_reps, bound, "mixing-series")
+    return _audit(spec, s, v, grid, reps, n_schedule, seed, threads, bound, "mixing-series")
 
 
 def verify_superstrong(
@@ -271,7 +270,6 @@ def verify_superstrong(
     n_schedule: Optional[Sequence[int]] = None,
     seed: SeedLike = 0,
     threads: int = 1,
-    sup_reps: int = 2000,
 ) -> BoundVerdict:
     """Audit the superstrong-mixing bound (K_N I^(1/s))^s on sup_n E||S_n||_s^s.
 
@@ -284,7 +282,7 @@ def verify_superstrong(
     def bound(integral: float) -> float:
         return nachapetyan_bound(k_n, integral ** (1.0 / s)) ** s
 
-    return _audit(spec, s, s, grid, reps, n_schedule, seed, threads, sup_reps, bound, "superstrong")
+    return _audit(spec, s, s, grid, reps, n_schedule, seed, threads, bound, "superstrong")
 
 
 @dataclass(frozen=True)

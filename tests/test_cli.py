@@ -379,6 +379,15 @@ def test_tol_is_an_unknown_key(tmp_path, capsys):
         assert_one_config_error(capsys)
 
 
+def test_limit_factor_and_sup_reps_are_unknown_keys(tmp_path, capsys):
+    # the limit sample size and the sup-norm replications are constants of the library
+    cases = (("verify-clt", "limit_factor"), ("verify-bounds", "sup_reps"), ("verify-superstrong", "sup_reps"))
+    for command, key in cases:
+        assert run_config(tmp_path, command, dict(RUNNABLE[command], **{key: 4})) == 2
+        assert_one_config_error(capsys)
+        assert not (tmp_path / "r.json").exists()
+
+
 PATH_CASES = {
     "out": ("tail", TAIL),
     "csv": ("simulate", SIM),
@@ -397,12 +406,10 @@ def test_path_keys_must_be_strings(tmp_path, capsys, paths_only, key, value):
 
 INT_CASES = [
     ("verify-bounds", VB, "s", 2.5),
-    ("verify-bounds", VB, "sup_reps", 500.5),
     ("simulate", SIM, "reps", 150.9),
     ("simulate", SIM, "n", 32.5),
     ("simulate", SIM, "seed", 1.5),
     ("simulate", SIM, "threads", True),
-    ("verify-clt", CLT, "limit_factor", 2.5),
     ("verify-clt", CLT, "n_schedule", [16.5]),
     ("bounds", {"s": 2}, "seed", "abc"),
     ("bounds", {"s": 2}, "threads", "x"),
@@ -461,8 +468,8 @@ def test_help_lists_config_only_keys(capsys):
         main(["verify-bounds", "--help"])
     text = capsys.readouterr().out
     assert "config-only keys" in text
-    assert "sup_reps" in text and "int, default 2000" in text
-    assert "--sup-reps" not in text and "--reps" in text
+    assert "n_schedule" in text and "list of ints" in text
+    assert "--n-schedule" not in text and "--reps" in text
 
 
 # wrong types inside nested config values: (config part, value)
@@ -533,10 +540,8 @@ def valid_values(command, tmp_path):
         "v": st.sampled_from([8.0, 10.0]),
         "w": st.floats(0.0, 10.0),
         "y": st.one_of(st.floats(1.0, 100.0), st.lists(st.floats(1.0, 100.0), min_size=1, max_size=3)),
-        "sup_reps": st.integers(100, 150),
         "sup_v_norm": st.floats(0.5, 2.0),
         "significance": st.sampled_from([0.01, 0.05]),
-        "limit_factor": st.integers(1, 2),
         "limit_covariance_scale": st.sampled_from([0.5, 1.0, 4.0]),
         "limit_covariance_csv": st.sampled_from([str(tmp_path / "cov4.csv"), str(tmp_path / "missing.csv")]),
         "dump_covariance": st.just(str(tmp_path / "dump.csv")),

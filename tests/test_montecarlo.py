@@ -24,7 +24,6 @@ from cltlab import (
     empirical_cov,
     estimate_moment,
     replicate_norms,
-    simulate_sn,
     summarize_norm_powers,
     uniform_grid,
     write_norms_csv,
@@ -48,9 +47,9 @@ def test_ci_z_is_99_percent_quantile():
     assert_rel(CI_Z, float(norm.ppf(0.995)), 1e-12)
 
 
-def test_simulate_sn_gaussian_closed_case(const_normal_field, grid16):
+def test_sn_blocks_gaussian_closed_case(const_normal_field, grid16):
     # phi = 1, iid N(0,1): S_n is exactly N(0,1), constant across the grid
-    s = simulate_sn(const_normal_field, 64, grid16, 5)
+    s = sn_blocks(const_normal_field, 64, grid16, 5)(0, 1)[0]
     assert s.shape == (16,)
     assert np.all(s == s[0])
 

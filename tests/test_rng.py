@@ -1,4 +1,4 @@
-"""Random numbers: Philox4x32-10 known answers, counter layout, and jumped PCG64DXSM streams."""
+"""Random numbers: Philox4x32-10 known answers, counter layout, and path-keyed PCG64DXSM streams."""
 
 import numpy as np
 import pytest
@@ -70,23 +70,22 @@ def test_word_rows_are_one_replication_blocks(seed, lo, size, count):
         assert np.array_equal(w[i], words(key, lo + i, lo + i + 1, count)[0])
 
 
-def jumped_oracle(seed, prefix, rep):
-    """numpy's own jumped substream, independent of the package's derivation."""
-    key = np.random.SeedSequence(seed, spawn_key=prefix)
-    return np.random.Generator(np.random.PCG64DXSM(key).jumped(rep + 1))
+def keyed_oracle(seed, path):
+    """numpy's PCG64DXSM keyed by the whole spawn key, independent of the package's derivation."""
+    return np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=path)))
 
 
 @pytest.mark.parametrize("prefix", [(), (1,), (0, 1024)])
 @pytest.mark.parametrize("rep", [0, 1, 255, 10**6])
-def test_stream_is_numpys_jumped_substream(prefix, rep):
-    expected = jumped_oracle(7, prefix, rep).standard_normal(40)
+def test_stream_is_keyed_by_the_whole_path(prefix, rep):
+    expected = keyed_oracle(7, prefix + (rep,)).standard_normal(40)
     assert np.array_equal(stream(7, *prefix, rep).standard_normal(40), expected)
     # a derived sequence carries its path: the same stream
     assert np.array_equal(stream(seed_path(7, *prefix, rep)).standard_normal(40), expected)
     assert np.array_equal(stream(seed_path(7, *prefix), rep).standard_normal(40), expected)
 
 
-def test_unjumped_stream_differs_from_replication_zero():
+def test_empty_path_stream_differs_from_replication_zero():
     assert not np.array_equal(stream(3).random(8), stream(3, 0).random(8))
     assert not np.array_equal(stream(3, 2).random(8), stream(3, 2, 0).random(8))
 

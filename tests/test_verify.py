@@ -141,8 +141,6 @@ def test_verify_clt_validation(const_normal_field, grid16):
         verify_clt(const_normal_field, [16], 2.0, grid16, 400, significance=0.5)
     with pytest.raises(ValueError):
         verify_clt(const_normal_field, [], 2.0, grid16, 400)
-    with pytest.raises(ValueError):
-        verify_clt(const_normal_field, [16], 2.0, grid16, 400, limit_factor=0)
 
 
 
