@@ -10,7 +10,7 @@ parser, the unknown-key check, the flag merge, the type check and the defaults
 all come from that table; handlers read the checked, defaulted values.
 
 Exit codes: 0 success, 1 a statistical verification failed, 2 configuration or
-input error. Non-finite numbers are encoded in reports as the strings "inf",
+input error, or a run too large for memory. Non-finite numbers are encoded in reports as the strings "inf",
 "-inf" and "nan" so the JSON stays standard.
 """
 
@@ -461,6 +461,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"input/output error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
     # the report destination is not part of the computation, so the embedded
     # config and its hash stay identical no matter where the report lands

@@ -10,8 +10,9 @@ vacuously satisfied rather than hidden.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -34,8 +35,11 @@ from .montecarlo import (
 )
 from .rng import SeedLike, seed_path
 
-# Limiting std of sqrt(N) * D under the null, used to size trend noise.
+# Limiting std of sqrt(N) * D under the null, reported as the noise of one KS statistic.
 KS_STAT_STD = 0.26
+
+# The trend threshold is a multiple of 1/TREND_GRID.
+TREND_GRID = 1024
 
 # The limit sample is this many times each finite-n sample, so limit-sampling
 # noise is the smaller part of a KS statistic's noise.
@@ -82,6 +86,27 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
     return KsResult(stat=stat, p_value=min(max(p, 0.0), 1.0))
 
 
+@lru_cache(maxsize=None)
+def trend_threshold(significance: float, steps: int) -> float:
+    """Smallest multiple t of 1/TREND_GRID with P(K' - K > t) <= significance / steps, K and K' iid Kolmogorov.
+
+    P(K' - K > t) integrates S(y + t), S = scipy.special.kolmogorov, against
+    the law of K: a sum over cells of width 1/TREND_GRID on [0, 4), where
+    S < 1e-13, of each cell's mass times S at its midpoint plus t.
+    """
+    # scipy only here, so importing the package does not load it
+    from scipy.special import kolmogorov
+
+    cells = 4 * TREND_GRID
+    half = kolmogorov(np.arange(4 * cells + 1) / (2.0 * TREND_GRID))  # S at the cells' ends and midpoints
+    mass = half[0 : 2 * cells : 2] - half[2 : 2 * cells + 2 : 2]
+
+    def below(j: int) -> bool:
+        return mass @ half[2 * j + 1 : 2 * j + 2 * cells : 2] <= significance / steps
+
+    return bisect_left(range(cells), True, key=below) / TREND_GRID
+
+
 @dataclass(frozen=True)
 class CltVerdict:
     n: int
@@ -116,10 +141,13 @@ def verify_clt(
 
     The limit sample is LIMIT_FACTOR times larger than each finite-n sample
     so limit sampling noise is subdominant. Convergence means: passed at the
-    largest n, and no KS-statistic increase along the schedule by more than
-    twice the null noise of a step. A step is the difference of two null
-    statistics, so that noise is sqrt(2) times noise_scale, the null noise of
-    one statistic. limit_field overrides the model-implied limit (power checks
+    largest n, and no KS-statistic step up along the schedule by more than
+    trend_threshold(significance, steps) / sqrt(n_eff), n_eff the KS
+    effective size. Null statistics are asymptotically Kolmogorov /
+    sqrt(n_eff), so a field that has its limit law reports a trend in at most
+    a share significance of runs (Bonferroni over the steps; the shared limit
+    sample makes a step smaller). noise_scale is the null std of one
+    statistic. limit_field overrides the model-implied limit (power checks
     with a deliberately wrong limit).
 
     For a Rademacher driver the p-values lean small at moderate n, and are not
@@ -152,17 +180,16 @@ def verify_clt(
             )
         )
     n_eff = reps * reps_limit / (reps + reps_limit)
-    noise = KS_STAT_STD / math.sqrt(n_eff)
+    steps = list(zip(verdicts, verdicts[1:]))
+    threshold = trend_threshold(significance, len(steps)) / math.sqrt(n_eff) if steps else math.inf
     violations = tuple(
-        (a.n, b.n, b.ks_stat - a.ks_stat)
-        for a, b in zip(verdicts, verdicts[1:])
-        if b.ks_stat - a.ks_stat > 2.0 * math.sqrt(2.0) * noise
+        (a.n, b.n, b.ks_stat - a.ks_stat) for a, b in steps if b.ks_stat - a.ks_stat > threshold
     )
     converged = verdicts[-1].passed and not violations
     return CltSummary(
         verdicts=tuple(verdicts),
         converged=converged,
-        noise_scale=noise,
+        noise_scale=KS_STAT_STD / math.sqrt(n_eff),
         trend_violations=violations,
     )
 

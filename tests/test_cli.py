@@ -345,6 +345,14 @@ def test_grid_total_mass_overflow_exits_2(tmp_path, capsys):
     assert not (tmp_path / "r.json").exists()
 
 
+def test_allocation_past_the_address_space_exits_2(tmp_path, capsys):
+    # 2^47 float64 time steps are 2^50 bytes, more than a 64-bit address space maps
+    assert run_config(tmp_path, "simulate", dict(SIM, n=2**47)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "r.json").exists()
+
+
 def field_with_sigma(sigma):
     return {"basis": {"name": "const", "k": 1}, "driver": {"iid_normal": {"sigma": sigma, "k": 1}}}
 

@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp, kstest
+from scipy import integrate
+from scipy.stats import ks_2samp, kstest, kstwobign
 
 from cltlab import (
     FieldSpec,
@@ -120,12 +121,25 @@ def test_verify_clt_null_p_values_are_uniform(const_normal_field, grid16):
 
 def test_verify_clt_trend_rule_is_sized_for_a_step():
     # the iid-normal field has exactly its limit law at every n, so a KS step
-    # from n = 16 to 32 is a difference of two null statistics; a threshold of
-    # 2 x noise_scale flagged 28 of these 400 runs, 2 sqrt(2) x noise_scale 9
+    # is a difference of two null statistics and a run may report a trend at
+    # the 1% level at most. Schedule [16, 32]: 3 of these 400 runs are
+    # flagged, 9 with a fixed 2 sqrt(2) x noise_scale per step. The default
+    # schedule (8 steps): 2 of 200, 32 with the fixed threshold.
     grid = uniform_grid(8)
     spec = FieldSpec(basis=basis_matrix("fourier", 3, grid), driver=IidNormal(k=3))
-    flagged = sum(bool(verify_clt(spec, [16, 32], 3.0, grid, 200, seed=s).trend_violations) for s in range(400))
-    assert flagged <= 12
+    for schedule, runs, most in (([16, 32], 400, 12), (None, 200, 8)):
+        flagged = sum(bool(verify_clt(spec, schedule, 3.0, grid, 200, seed=s).trend_violations) for s in range(runs))
+        assert flagged <= most, (schedule, flagged)
+
+
+@pytest.mark.parametrize("steps", [1, 8])
+def test_trend_threshold_against_quadrature(steps):
+    # P(K' - K > t) for independent Kolmogorov K, K', by adaptive quadrature
+    def exceed(t):
+        return integrate.quad(lambda y: kstwobign.pdf(y) * kstwobign.sf(y + t), 0.0, 5.0, limit=200)[0]
+
+    t = verify.trend_threshold(0.01, steps)
+    assert exceed(t) <= 0.01 / steps < exceed(t - 1.0 / verify.TREND_GRID)
 
 
 def test_verify_clt_rejects_wrong_limit(const_normal_field, grid16):
