@@ -10,8 +10,8 @@ parser, the unknown-key check, the flag merge, the type check and the defaults
 all come from that table; handlers read the checked, defaulted values.
 
 Exit codes: 0 success, 1 a statistical verification failed, 2 configuration or
-input error, or a run too large for memory. Non-finite numbers are encoded in reports as the strings "inf",
-"-inf" and "nan" so the JSON stays standard.
+input error, or a run too large for memory. Non-finite numbers are encoded in
+reports as the strings "inf", "-inf" and "nan" so the JSON stays standard.
 """
 
 from __future__ import annotations

@@ -38,9 +38,6 @@ from .rng import SeedLike, seed_path
 # Limiting std of sqrt(N) * D under the null, reported as the noise of one KS statistic.
 KS_STAT_STD = 0.26
 
-# The trend threshold is a multiple of 1/TREND_GRID.
-TREND_GRID = 1024
-
 # The limit sample is this many times each finite-n sample, so limit-sampling
 # noise is the smaller part of a KS statistic's noise.
 LIMIT_FACTOR = 4
@@ -88,23 +85,23 @@ def ks_two_sample(a: Sequence[float], b: Sequence[float]) -> KsResult:
 
 @lru_cache(maxsize=None)
 def trend_threshold(significance: float, steps: int) -> float:
-    """Smallest multiple t of 1/TREND_GRID with P(K' - K > t) <= significance / steps, K and K' iid Kolmogorov.
+    """Smallest multiple t of 1/1024 with P(K' - K > t) <= significance / steps, K and K' iid Kolmogorov.
 
     P(K' - K > t) integrates S(y + t), S = scipy.special.kolmogorov, against
-    the law of K: a sum over cells of width 1/TREND_GRID on [0, 4), where
+    the law of K: a sum over the cells of width 1/1024 on [0, 4), where
     S < 1e-13, of each cell's mass times S at its midpoint plus t.
     """
     # scipy only here, so importing the package does not load it
     from scipy.special import kolmogorov
 
-    cells = 4 * TREND_GRID
-    half = kolmogorov(np.arange(4 * cells + 1) / (2.0 * TREND_GRID))  # S at the cells' ends and midpoints
+    cells = 4 * 1024
+    half = kolmogorov(np.arange(4 * cells + 1) / 2048.0)  # S at the cells' ends and midpoints
     mass = half[0 : 2 * cells : 2] - half[2 : 2 * cells + 2 : 2]
 
     def below(j: int) -> bool:
         return mass @ half[2 * j + 1 : 2 * j + 2 * cells : 2] <= significance / steps
 
-    return bisect_left(range(cells), True, key=below) / TREND_GRID
+    return bisect_left(range(cells), True, key=below) / 1024.0
 
 
 @dataclass(frozen=True)
@@ -141,14 +138,14 @@ def verify_clt(
 
     The limit sample is LIMIT_FACTOR times larger than each finite-n sample
     so limit sampling noise is subdominant. Convergence means: passed at the
-    largest n, and no KS-statistic step up along the schedule by more than
+    largest n, and no KS-statistic step up along the schedule above
     trend_threshold(significance, steps) / sqrt(n_eff), n_eff the KS
-    effective size. Null statistics are asymptotically Kolmogorov /
-    sqrt(n_eff), so a field that has its limit law reports a trend in at most
-    a share significance of runs (Bonferroni over the steps; the shared limit
-    sample makes a step smaller). noise_scale is the null std of one
-    statistic. limit_field overrides the model-implied limit (power checks
-    with a deliberately wrong limit).
+    effective size. A null statistic is asymptotically Kolmogorov /
+    sqrt(n_eff), so at most a share significance of runs from the limit law
+    report a trend (Bonferroni over the steps; the shared limit sample makes
+    a step smaller). noise_scale is the null std of one statistic.
+    limit_field overrides the model-implied limit (power checks with a
+    deliberately wrong limit).
 
     For a Rademacher driver the p-values lean small at moderate n, and are not
     null draws, because the lattice law of S_n really differs from its limit:
