@@ -442,7 +442,8 @@ def lp_moment_bound(profile: MixingProfile, s: int, v: float, sup_v_norm_integra
 def nachapetyan_k(profile: MixingProfile, s: float) -> float:
     """Superstrong-mixing constant K_N = 2s * (sum_{k>=1} beta(k) (k+1)^((s-2)/2))^(1/s).
 
-    Upper end of a certified bracket (see z_value); +inf if divergent, 0 if beta vanishes from lag 1.
+    Upper end of a certified bracket (see z_value); +inf if divergent. Raises
+    ValueError if beta vanishes from lag 1, where K_N = 0 bounds nothing.
     """
     if profile.kind != "beta":
         raise ValueError("nachapetyan_k needs a beta profile")
@@ -450,6 +451,8 @@ def nachapetyan_k(profile: MixingProfile, s: float) -> float:
     if not (2.0 <= s < math.inf):
         raise ValueError("requires 2 <= s < inf")
     ssum = _lag_series(profile, Fraction(1), (s - 2.0) / 2.0)
+    if ssum.total == 0.0:
+        raise ValueError("beta vanishes from lag 1, so K_N would be 0, which bounds nothing")
     return 2.0 * s * ssum.total ** (1.0 / s)
 
 

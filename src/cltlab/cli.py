@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -160,7 +161,7 @@ _SCHEDULED = _SAMPLED + (Key("n_schedule", INTS, "sample sizes n, by default 16,
 def _sanitize(obj):
     """Make a structure JSON-safe: dataclasses to dicts, inf/nan to strings."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _sanitize(dataclasses.asdict(obj))
+        return {f.name: _sanitize(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -408,7 +409,8 @@ COMMANDS: Dict[str, Command] = {
     )),
     "verify-superstrong": Command("audit the superstrong-mixing bound", _cmd_verify_superstrong, _SCHEDULED + (
         Key("s", FLOAT, "moment order", required=True),
-        Key("beta_profile", BETA_PROFILE, 'beta profile: "iid" or inline JSON', required=True),
+        Key("beta_profile", BETA_PROFILE, "beta profile as inline JSON; beta must not vanish from lag 1",
+            required=True),
     )),
     "tail": Command("Chebyshev tail table from a moment bound", _cmd_tail, (
         Key("w", FLOAT, "moment bound W", required=True),
@@ -418,7 +420,9 @@ COMMANDS: Dict[str, Command] = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process; parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="cltlab",
         description="Moment bounds and CLT verification for mixing random fields",

@@ -120,8 +120,12 @@ def lp_norms(matrix: np.ndarray, p: float, grid: GridSpace) -> np.ndarray:
         raise ValueError("matrix must be 2-d with one column per grid point")
     if not np.all(np.isfinite(mat)):
         raise ValueError("values must be finite")
+    # one working array, each element through |x|, ** p, * w in that order
+    work = np.abs(mat)
     with np.errstate(over="ignore"):  # checked below
-        norms = (grid.weights * np.abs(mat) ** p).sum(axis=1) ** (1.0 / p)
+        work **= p
+        work *= grid.weights
+        norms = work.sum(axis=1) ** (1.0 / p)
     if not np.all(np.isfinite(norms)):
         raise ValueError(f"||.||_p at p = {p:g} overflows a float")
     return norms

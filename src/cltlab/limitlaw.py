@@ -11,8 +11,9 @@ numpy's matrix-rank tolerance; an indefinite matrix or a factor that does not
 reproduce it raises, it never produces silent NaNs.
 
 A replication of the limit field is the n = 1 field of the time-sum law
-Normal(1.0) on the factor's columns (montecarlo.field_blocks): r Box-Muller
-normals from its own Philox counters, projected onto the columns.
+Normal(1.0) on the factor's columns: r Box-Muller normals from its own
+Philox counters, projected onto the columns and reduced to its L^p norm by
+montecarlo.field_norms, at most montecarlo.TILE grid values at a time.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretize import GridSpace, lp_norms
+# lp_norms and stream stay importable here for the tracing hooks in perfbench/tracing.py
+from .discretize import GridSpace, lp_norms  # noqa: F401
 from .fieldgen import FieldSpec, Normal, long_run_covariance
-from .montecarlo import field_blocks, run_chunked
-# stream stays importable here for the tracing hooks in perfbench/tracing.py
+from .montecarlo import field_norms, run_chunked
 from .rng import SeedLike, stream  # noqa: F401
 
 # Acceptance threshold for ||F F^T - R||_F relative to ||R||_F.
@@ -106,13 +107,14 @@ def sample_limit_norms(
 
     Replication rep takes its r = factor.shape[1] normals from its Philox
     counters under the seed's key (r = K for the model's limit law), through
-    montecarlo.field_blocks with the law Normal(1.0) at n = 1, whose scaling
+    montecarlo.field_norms with the law Normal(1.0) at n = 1, whose scaling
     by 1.0 / sqrt(1) is exact; with row-by-row projection and norms, a
-    replication's norm depends on seed and rep only, not on reps or threads.
+    replication's norm depends on seed and rep only, not on reps, threads or
+    the tile it is reduced in.
     """
     if field.factor.shape[0] != grid.size:
         raise ValueError("limit field lives on a different grid size")
     if int(reps) != reps or reps < 1:
         raise ValueError("reps must be a positive integer")
-    block = field_blocks(Normal(1.0), field.factor.T, 1, seed)
-    return np.concatenate(run_chunked(lambda lo, hi: lp_norms(block(lo, hi), p, grid), int(reps), threads))
+    worker = field_norms(Normal(1.0), field.factor.T, 1, seed, p, grid)
+    return np.concatenate(run_chunked(worker, int(reps), threads))

@@ -1,16 +1,18 @@
 """Monte Carlo estimation of normed-sum moments S_n(t) = n^(-1/2) sum_i xi_i(t).
 
-Every estimator here, and the limit-law sampler in limitlaw, is built on one
-block primitive, field_blocks(law, rows, n, seed): a block of replications
-lo, ..., hi - 1 takes its k = len(rows) standard variates per replication
-from one call of the time-sum law's block(key, lo, hi, k), which computes
-replication rep's values from its own Philox counters under the seed's key
-(rng), with no loop over replications; the block is scaled by law.sd /
-sqrt(n) and projected onto the rows one row at a time. sn_blocks is that
-primitive with the driver's time_sum_law and the basis. Each row of a block
-is computed and reduced on its own, so a replication's values depend on
-(seed path, rep) only: neither on how many replications run nor on the
-block they land in.
+Every estimator here, and the limit-law sampler in limitlaw, draws its
+replications the same way: a block of replications lo, ..., hi - 1 takes its
+k = len(rows) standard variates per replication from one call of the
+time-sum law's block(key, lo, hi, k), which computes replication rep's values
+from its own Philox counters under the seed's key (rng), with no loop over
+replications, and scales them by law.sd / sqrt(n). field_blocks projects
+those coordinates onto the rows one row at a time; field_norms projects and
+reduces them to L^p norms at most TILE grid values at a time, so a chunk's
+working arrays stay in cache. For S_n, _sn_field gives the driver's
+time_sum_law and the basis; sn_blocks is field_blocks on them. Each row of
+a block is computed and reduced on its own, so a replication's values depend
+on (seed path, rep) only: neither on how many replications run, nor on the
+block or tile they land in.
 Replications run in the calling thread, in fixed-size chunks whose results
 are assembled in index order; the threads argument of the public functions
 is checked and accepted but does not change the work or any result.
@@ -36,6 +38,10 @@ CI_Z = 2.5758293035489004
 # Chunk size is fixed, so every run sums identical partial results in
 # identical order, and bounds the memory of one block.
 CHUNK = 256
+
+# Grid values projected and reduced at a time within a chunk (128 KiB of
+# float64); a row is reduced on its own, so the tile size changes no result.
+TILE = 16384
 
 KURTOSIS_WARN = 100.0
 
@@ -81,33 +87,65 @@ def project(coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
+def _coordinates(law: TimeSumLaw, k: int, n: int, seed: SeedLike):
+    """draw(lo, hi): (law.sd / sqrt(n)) z for replications lo, ..., hi - 1, one row each.
+
+    z is law.block(key, lo, hi, k), with the seed's Philox key hashed once per
+    block; its row i comes from replication lo + i's counters only. It is
+    scaled as (z * sd) / sqrt(n), elementwise.
+    """
+    root = math.sqrt(n)
+
+    def draw(lo: int, hi: int) -> np.ndarray:
+        return law.block(philox_key(seed), lo, hi, k) * law.sd / root
+
+    return draw
+
+
 def field_blocks(law: TimeSumLaw, rows: np.ndarray, n: int, seed: SeedLike):
     """block(lo, hi): (law.sd / sqrt(n)) z @ rows for replications lo, ..., hi - 1, one row each.
 
-    z is law.block(key, lo, hi, k), k = len(rows), with the seed's Philox key
-    hashed once per block; its row i comes from replication lo + i's counters
-    only. The block is scaled as (z * sd) / sqrt(n), elementwise, and
-    projected row by row, so a row depends on seed and rep only, bit for bit.
+    The coordinates come from _coordinates and are projected row by row, so
+    a row depends on seed and rep only, bit for bit.
     """
     rows = np.ascontiguousarray(rows)
-    k = rows.shape[0]
-    root = math.sqrt(n)
-
-    def block(lo: int, hi: int) -> np.ndarray:
-        return project(law.block(philox_key(seed), lo, hi, k) * law.sd / root, rows)
-
-    return block
+    draw = _coordinates(law, rows.shape[0], n, seed)
+    return lambda lo, hi: project(draw(lo, hi), rows)
 
 
-def sn_blocks(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike):
-    """block(lo, hi): S_n on the grid for replications lo, ..., hi - 1, one row each.
+def field_norms(law: TimeSumLaw, rows: np.ndarray, n: int, seed: SeedLike, p: float, grid: GridSpace):
+    """worker(lo, hi): ||field_blocks(law, rows, n, seed)(lo, hi)||_p row by row, bit for bit.
+
+    The block's coordinates are drawn once, then projected and reduced
+    max(1, TILE // grid.size) rows at a time, so no array the size of the
+    whole projected block is made.
+    """
+    rows = np.ascontiguousarray(rows)
+    draw = _coordinates(law, rows.shape[0], n, seed)
+    step = max(1, TILE // grid.size)
+
+    def worker(lo: int, hi: int) -> np.ndarray:
+        coords = draw(lo, hi)
+        tiles = [lp_norms(project(coords[a : a + step], rows), p, grid) for a in range(0, hi - lo, step)]
+        return np.concatenate(tiles)
+
+    return worker
+
+
+def _sn_field(spec: FieldSpec, n: int, grid: GridSpace) -> tuple:
+    """(law, rows, n) of S_n for field_blocks and field_norms, after the sequence checks.
 
     The driver's time_sum_law (and its standard deviation) is set up once
     here, not per block: a row is the replication's k time sums sum_i c_i
     X_i, c_i = 1 or spec.scales(n), over sqrt(n), projected onto the basis.
     """
     n = check_sequence(spec, n, grid)
-    return field_blocks(spec.driver.time_sum_law(n, spec.scales(n)), spec.basis, n, seed)
+    return spec.driver.time_sum_law(n, spec.scales(n)), spec.basis, n
+
+
+def sn_blocks(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike):
+    """block(lo, hi): S_n on the grid for replications lo, ..., hi - 1, one row each."""
+    return field_blocks(*_sn_field(spec, n, grid), seed)
 
 
 def run_chunked(worker, reps: int, threads: int) -> list:
@@ -131,9 +169,8 @@ def replicate_norms(
 ) -> np.ndarray:
     """||S_n||_p over replications, each from its own Philox counters."""
     reps = check_reps(reps)
-    block = sn_blocks(spec, n, grid, seed)
-    chunks = run_chunked(lambda lo, hi: lp_norms(block(lo, hi), p, grid), reps, threads)
-    return np.concatenate(chunks)
+    worker = field_norms(*_sn_field(spec, n, grid), seed, p, grid)
+    return np.concatenate(run_chunked(worker, reps, threads))
 
 
 def summarize_norm_powers(norms: np.ndarray, n: int, s: float, p: float) -> MomentEstimate:

@@ -238,7 +238,8 @@ def test_nachapetyan_k_m_dependent_and_bound():
     assert nachapetyan_k(prof, 2.0) == 4.0
     assert nachapetyan_bound(4.0, 0.5) == 2.0
     zero = MixingProfile("beta", MDependent(0))
-    assert nachapetyan_k(zero, 2.0) == 0.0
+    with pytest.raises(ValueError, match="K_N would be 0"):
+        nachapetyan_k(zero, 2.0)
 
 
 def test_chebyshev_tail_frozen_values():

@@ -86,6 +86,16 @@ def test_no_command_exits_2(capsys):
     capsys.readouterr()
 
 
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    out = str(tmp_path / "r.json")
+    assert main(["tail", "--w", "1", "--s", "2", "--y", "10", "--y", "30", "--out", out]) == 0
+    assert load_report(out)["config"]["y"] == [10.0, 30.0]
+    assert main(["tail", "--w", "1", "--s", "2", "--y", "20", "--out", out]) == 0
+    assert load_report(out)["config"]["y"] == [20.0]
+    capsys.readouterr()
+
+
 def test_tail_frozen_value(tmp_path, capsys):
     out = str(tmp_path / "r.json")
     assert main(["tail", "--w", "1", "--s", "2", "--y", "10", "--out", out]) == 0
@@ -281,6 +291,16 @@ def test_verify_superstrong_command(tmp_path, capsys):
     assert rep["results"]["verdict"]["satisfied"] is True
 
 
+def test_iid_beta_profile_exits_2(tmp_path, capsys):
+    # beta vanishes from lag 1, so K_N would be 0: a bound of 0 is no upper bound
+    for command in ("verify-superstrong", "bounds"):
+        config = dict(RUNNABLE[command], beta_profile="iid")
+        assert run_config(tmp_path, command, config) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "K_N would be 0" in err, err
+        assert not (tmp_path / "r.json").exists()
+
+
 def test_infinity_serialized_as_string(tmp_path, capsys):
     out = str(tmp_path / "r.json")
     beta = '{"kind":"beta","decay":{"polynomial":{"c":1.0,"theta":1.0}}}'
@@ -307,7 +327,8 @@ SIM = {"field": FIELD, "grid": {"uniform": 8}, "n": 32, "p": 2.0, "reps": 150}
 CLT = {"field": FIELD, "grid": {"uniform": 8}, "p": 2.0, "reps": 100, "n_schedule": [16]}
 VB = {"field": FIELD, "grid": {"uniform": 8}, "s": 2, "v": 4.0, "reps": 100, "n_schedule": [16]}
 TAIL = {"w": 1, "s": 2, "y": [10]}
-VS = {"field": FIELD, "grid": {"uniform": 8}, "s": 2, "reps": 100, "n_schedule": [16], "beta_profile": "iid"}
+VS = {"field": FIELD, "grid": {"uniform": 8}, "s": 2, "reps": 100, "n_schedule": [16],
+      "beta_profile": {"kind": "beta", "decay": {"m_dependent": {"m": 1}}}}
 RUNNABLE = {"bounds": {"s": 2, "profile": "iid"}, "simulate": SIM, "verify-clt": CLT, "verify-bounds": VB,
             "verify-superstrong": VS, "tail": TAIL}
 

@@ -24,13 +24,15 @@ from cltlab import (
     empirical_cov,
     estimate_moment,
     replicate_norms,
+    sample_limit_norms,
     summarize_norm_powers,
     uniform_grid,
     write_norms_csv,
 )
 from cltlab.discretize import lp_norms
 from cltlab.fieldgen import Normal, Rademacher
-from cltlab.montecarlo import CHUNK, CI_Z, MIN_REPS, project, sn_blocks
+from cltlab.limitlaw import LimitField
+from cltlab.montecarlo import CHUNK, CI_Z, MIN_REPS, TILE, project, sn_blocks
 from cltlab.rng import philox_key, words
 
 from conftest import assert_rel
@@ -114,7 +116,7 @@ def one_replication(spec, n, grid, seed, rep):
 
 @pytest.mark.parametrize("scale_decay", [None, 0.5])
 @pytest.mark.parametrize("driver", DRIVERS, ids=DRIVER_IDS)
-def test_block_rows_match_simulate_sn(grid16, driver, scale_decay):
+def test_block_rows_match_one_replication_rows(grid16, driver, scale_decay):
     spec = FieldSpec(basis=basis_matrix("fourier", 3, grid16), driver=driver, scale_decay=scale_decay)
     lo, hi = CHUNK - 5, CHUNK + 7
     block = sn_blocks(spec, 48, grid16, 11)(lo, hi)
@@ -311,6 +313,36 @@ def test_engine_rows_are_one_replication_blocks(driver, scale_decay, n, seed, lo
             assert np.array_equal(block[rep - lo], row)
         if rep < reps:
             assert norms[rep] == lp_norms(row[None, :], p, grid)[0]
+
+
+def own_norms(law, rows, n, seed, reps, p, grid):
+    """Each replication's norm, its row projected and reduced on its own; law rows are
+    one-replication blocks (test_law_rows_are_one_replication_blocks), so one draw serves all."""
+    coords = law.block(philox_key(seed), 0, reps, rows.shape[0]) * law.sd / math.sqrt(n)
+    return [lp_norms(project(coords[r : r + 1], rows), p, grid)[0] for r in range(reps)]
+
+
+@given(
+    driver=ENGINE_DRIVERS,
+    scale_decay=st.one_of(st.none(), st.floats(0.0, 2.0)),
+    n=st.integers(1, 64),
+    rank=st.integers(1, 4),
+    seed=st.integers(0, 2**32),
+    reps=st.integers(CHUNK + 1, CHUNK + 120),
+    p=st.sampled_from([1.0, 2.0, 3.5, 4.0]),
+)
+def test_tiled_norms_are_one_replication_norms(driver, scale_decay, n, rank, seed, reps, p):
+    # 300 points: a tile holds TILE // 300 = 54 rows, so a chunk spans five
+    # tiles, the last one ragged, and the second chunk ends inside a tile
+    grid = uniform_grid(300)
+    assert CHUNK % (TILE // grid.size) and CHUNK > TILE // grid.size
+    spec = FieldSpec(basis=basis_matrix("indicator", driver.k, grid), driver=driver, scale_decay=scale_decay)
+    norms = replicate_norms(spec, n, p, grid, reps, seed)
+    law = spec.driver.time_sum_law(n, spec.scales(n))
+    assert norms.tolist() == own_norms(law, spec.basis, n, seed, reps, p, grid)
+    factor = np.random.default_rng(seed).standard_normal((grid.size, rank))
+    limit_norms = sample_limit_norms(LimitField(factor @ factor.T, factor), p, grid, reps, seed)
+    assert limit_norms.tolist() == own_norms(Normal(1.0), np.ascontiguousarray(factor.T), 1, seed, reps, p, grid)
 
 
 def test_replicate_norms_reps_floor(const_normal_field, grid16):
