@@ -91,17 +91,19 @@ def _ints(name: str, value) -> list:
 
 
 def _profile(name: str, value, kind: str) -> MixingProfile:
-    """Profile from config or flag: an object, inline JSON, or the name "iid"."""
+    """Profile from config or flag: an object, inline JSON, or (alpha only) the name "iid"."""
     if isinstance(value, str) and value.strip().startswith("{"):
         try:
             value = json.loads(value)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{name} is not valid JSON: {exc}") from exc
-    if value == "iid":
-        return MixingProfile(kind=kind, decay=MDependent(0), label="iid")
     if isinstance(value, dict):
         return profile_from_dict(value)
-    raise ConfigError(f'{name} must be an object, inline JSON, or the shortcut "iid"')
+    if value == "iid" and kind == "alpha":
+        return MixingProfile(kind=kind, decay=MDependent(0), label="iid")
+    if value == "iid":
+        raise ConfigError(f'{name}: the shortcut "iid" is for alpha profiles only; as a beta, K_N would be 0')
+    raise ConfigError(f'{name} must be an object or inline JSON, or "iid" for an alpha profile')
 
 
 class Kind(NamedTuple):
@@ -122,7 +124,7 @@ PATH = Kind("path", lambda name, value: _instance(name, value, str, "a path stri
 OBJECT = Kind("object", lambda name, value: _instance(name, value, dict, "an object"))
 GRID = Kind("object", lambda name, value: grid_from_config(value))
 ALPHA_PROFILE = Kind('"iid" or profile object', lambda name, value: _profile(name, value, "alpha"))
-BETA_PROFILE = Kind('"iid" or profile object', lambda name, value: _profile(name, value, "beta"))
+BETA_PROFILE = Kind("profile object", lambda name, value: _profile(name, value, "beta"))
 
 
 class Key(NamedTuple):
@@ -321,10 +323,10 @@ def _cmd_verify_clt(c: argparse.Namespace) -> Tuple[dict, int, list]:
         if not (scale > 0.0 and math.isfinite(scale)):
             raise ConfigError("limit_covariance_scale must be positive and finite")
         # scaling R by c scales its exact factor by sqrt(c): nothing to factor
-        limit_field = LimitField(covariance=base.covariance * scale, factor=base.factor * math.sqrt(scale))
+        limit_field = LimitField(base.factor * math.sqrt(scale))
         injected = f"scale:{scale:g}"
     if c.dump_covariance:
-        np.savetxt(c.dump_covariance, base.covariance, delimiter=",")
+        np.savetxt(c.dump_covariance, base.factor @ base.factor.T, delimiter=",")
     options = _options(c, "significance", "seed", "threads")
     summary = verify_clt(spec, c.n_schedule, c.p, c.grid, c.reps, limit_field=limit_field, **options)
     lines = [
@@ -388,7 +390,7 @@ COMMANDS: Dict[str, Command] = {
         Key("profile", ALPHA_PROFILE, 'alpha profile: "iid" or inline JSON'),
         Key("sup_v_norm", FLOAT, "sup-norm integral I, to form W = Z^s * I^(s/v)", flag=False),
         Key("y", FLOATS, "tail levels for Chebyshev bounds from W", flag=False),
-        Key("beta_profile", BETA_PROFILE, "beta profile, same forms"),
+        Key("beta_profile", BETA_PROFILE, "beta profile as inline JSON"),
     )),
     "simulate": Command("Monte Carlo moment of the normalized sum norm", _cmd_simulate, _SAMPLED + (
         Key("n", INT, "sample size", required=True),

@@ -455,8 +455,8 @@ def sample_sequence(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike) ->
 
     Every component and time step is drawn from the one generator
     rng.stream(seed), component after component, so two calls with the same
-    seed path agree bit for bit. montecarlo.sn_blocks draws the time sums from
-    Philox words instead, through the driver's time_sum_law, so this is their
+    seed path agree bit for bit. montecarlo draws the time sums from Philox
+    words instead, through the driver's time_sum_law, so this is their
     reference in law, not draw for draw.
     """
     n = check_sequence(spec, n, grid)

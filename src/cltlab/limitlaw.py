@@ -1,14 +1,15 @@
-"""Gaussian limit field of S_n: covariance assembly, factorization, sampling.
+"""Gaussian limit field of S_n: its factor, factorization of a given covariance, sampling.
 
-The limit covariance on the grid is R(t, u) = sum_{k,l} Lambda_{kl} phi_k(t)
-phi_l(u) with Lambda the long-run covariance of the driver components. The
-components are independent, Lambda = lrv I, so the model's limit field is
-S = sqrt(lrv) z^T basis with z standard normal in R^K: it is sampled in basis
-coordinates through the exact factor sqrt(lrv) basis^T, whatever the rank of
-R. A covariance given directly (an injected, deliberately wrong limit law) is
-factored by one symmetric eigendecomposition, keeping the eigenvalues above
-numpy's matrix-rank tolerance; an indefinite matrix or a factor that does not
-reproduce it raises, it never produces silent NaNs.
+A limit law on the grid is held by one (grid x r) factor F alone: the field
+is S = F z with z standard normal in R^r, and its covariance F F^T is never
+formed here. The model's limit covariance is R(t, u) = sum_{k,l}
+Lambda_{kl} phi_k(t) phi_l(u) with Lambda the long-run covariance of the
+driver components. The components are independent, Lambda = lrv I, so
+R = F F^T with the exact factor F = sqrt(lrv) basis^T, whatever the rank
+of R. A covariance given directly (an injected, deliberately wrong limit
+law) is factored by one symmetric eigendecomposition, keeping the
+eigenvalues above numpy's matrix-rank tolerance; an indefinite matrix or a
+factor that does not reproduce it raises, it never produces silent NaNs.
 
 A replication of the limit field is the n = 1 field of the time-sum law
 Normal(1.0) on the factor's columns: r Box-Muller normals from its own
@@ -25,7 +26,7 @@ import numpy as np
 
 # lp_norms and stream stay importable here for the tracing hooks in perfbench/tracing.py
 from .discretize import GridSpace, lp_norms  # noqa: F401
-from .fieldgen import FieldSpec, Normal, long_run_covariance
+from .fieldgen import FieldSpec, Normal
 from .montecarlo import field_norms, run_chunked
 from .rng import SeedLike, stream  # noqa: F401
 
@@ -46,9 +47,8 @@ class DegenerateCovarianceError(Exception):
 
 @dataclass(frozen=True)
 class LimitField:
-    """Covariance R on the grid and a (grid x r) factor F with F F^T = R."""
+    """A limit law on the grid by its (grid x r) factor F: the field F z has covariance F F^T."""
 
-    covariance: np.ndarray
     factor: np.ndarray
 
 
@@ -57,7 +57,8 @@ def factorize_covariance(cov: np.ndarray) -> LimitField:
 
     The eigenvalues kept are those above numpy's matrix_rank tolerance,
     max eigenvalue * size * eps, so F has as many columns as cov has rank and
-    the result does not depend on the matrix's units. Raises
+    the result does not depend on the matrix's units; an all-zero matrix
+    gets one zero column, the fewest that montecarlo.project takes. Raises
     DegenerateCovarianceError when the matrix is indefinite beyond tolerance or
     F F^T misses cov by more than FACTOR_RTOL relative Frobenius error.
     """
@@ -71,7 +72,7 @@ def factorize_covariance(cov: np.ndarray) -> LimitField:
         raise ValueError("covariance must be symmetric")
     cov = (cov + cov.T) / 2.0
     if not cov.any():
-        return LimitField(covariance=cov, factor=np.zeros_like(cov))
+        return LimitField(np.zeros((cov.shape[0], 1)))
     lam, vec = np.linalg.eigh(cov)
     if lam[0] < -EIG_RTOL * float(np.diag(cov).max()):
         raise DegenerateCovarianceError("covariance is indefinite beyond tolerance")
@@ -83,16 +84,14 @@ def factorize_covariance(cov: np.ndarray) -> LimitField:
             f"covariance factor misses the matrix by {error:.3g} relative error; "
             "the matrix is numerically degenerate"
         )
-    return LimitField(covariance=cov, factor=factor)
+    return LimitField(factor)
 
 
 def limit_covariance(spec: FieldSpec, grid: GridSpace) -> LimitField:
-    """The limit covariance of S_n on the grid with its exact (grid x K) factor sqrt(lrv) basis^T."""
+    """The limit law of S_n on the grid by its exact (grid x K) factor sqrt(lrv) basis^T."""
     if spec.basis.shape[1] != grid.size:
         raise ValueError("basis was evaluated on a different grid size")
-    cov = spec.basis.T @ long_run_covariance(spec) @ spec.basis
-    factor = math.sqrt(spec.driver.long_run_variance()) * spec.basis.T
-    return LimitField(covariance=cov, factor=factor)
+    return LimitField(math.sqrt(spec.driver.long_run_variance()) * spec.basis.T)
 
 
 def sample_limit_norms(

@@ -5,14 +5,14 @@ replications the same way: a block of replications lo, ..., hi - 1 takes its
 k = len(rows) standard variates per replication from one call of the
 time-sum law's block(key, lo, hi, k), which computes replication rep's values
 from its own Philox counters under the seed's key (rng), with no loop over
-replications, and scales them by law.sd / sqrt(n). field_blocks projects
-those coordinates onto the rows one row at a time; field_norms projects and
-reduces them to L^p norms at most TILE grid values at a time, so a chunk's
-working arrays stay in cache. For S_n, _sn_field gives the driver's
-time_sum_law and the basis; sn_blocks is field_blocks on them. Each row of
-a block is computed and reduced on its own, so a replication's values depend
-on (seed path, rep) only: neither on how many replications run, nor on the
-block or tile they land in.
+replications, and scales them by law.sd / sqrt(n). field_norms projects
+those coordinates onto the rows one row at a time and reduces them to L^p
+norms at most TILE grid values at a time, so a chunk's working arrays stay
+in cache. For S_n, _sn_field gives the driver's time_sum_law and the basis;
+sn_coordinates gives the coordinates alone, for statistics computed in the
+basis. Each row of a block is computed and reduced on its own, so a
+replication's values depend on (seed path, rep) only: neither on how many
+replications run, nor on the block or tile they land in.
 Replications run in the calling thread, in fixed-size chunks whose results
 are assembled in index order; the threads argument of the public functions
 is checked and accepted but does not change the work or any result.
@@ -102,21 +102,10 @@ def _coordinates(law: TimeSumLaw, k: int, n: int, seed: SeedLike):
     return draw
 
 
-def field_blocks(law: TimeSumLaw, rows: np.ndarray, n: int, seed: SeedLike):
-    """block(lo, hi): (law.sd / sqrt(n)) z @ rows for replications lo, ..., hi - 1, one row each.
-
-    The coordinates come from _coordinates and are projected row by row, so
-    a row depends on seed and rep only, bit for bit.
-    """
-    rows = np.ascontiguousarray(rows)
-    draw = _coordinates(law, rows.shape[0], n, seed)
-    return lambda lo, hi: project(draw(lo, hi), rows)
-
-
 def field_norms(law: TimeSumLaw, rows: np.ndarray, n: int, seed: SeedLike, p: float, grid: GridSpace):
-    """worker(lo, hi): ||field_blocks(law, rows, n, seed)(lo, hi)||_p row by row, bit for bit.
+    """worker(lo, hi): L^p norms of the block's coordinates projected onto rows, row by row, bit for bit.
 
-    The block's coordinates are drawn once, then projected and reduced
+    The coordinates (_coordinates) are drawn once, then projected and reduced
     max(1, TILE // grid.size) rows at a time, so no array the size of the
     whole projected block is made.
     """
@@ -133,7 +122,7 @@ def field_norms(law: TimeSumLaw, rows: np.ndarray, n: int, seed: SeedLike, p: fl
 
 
 def _sn_field(spec: FieldSpec, n: int, grid: GridSpace) -> tuple:
-    """(law, rows, n) of S_n for field_blocks and field_norms, after the sequence checks.
+    """(law, rows, n) of S_n for field_norms and sn_coordinates, after the sequence checks.
 
     The driver's time_sum_law (and its standard deviation) is set up once
     here, not per block: a row is the replication's k time sums sum_i c_i
@@ -143,9 +132,10 @@ def _sn_field(spec: FieldSpec, n: int, grid: GridSpace) -> tuple:
     return spec.driver.time_sum_law(n, spec.scales(n)), spec.basis, n
 
 
-def sn_blocks(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike):
-    """block(lo, hi): S_n on the grid for replications lo, ..., hi - 1, one row each."""
-    return field_blocks(*_sn_field(spec, n, grid), seed)
+def sn_coordinates(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike) -> tuple:
+    """(draw, basis): S_n = project(draw(lo, hi), basis) for replications lo, ..., hi - 1, one row each."""
+    law, basis, n = _sn_field(spec, n, grid)
+    return _coordinates(law, basis.shape[0], n, seed), basis
 
 
 def run_chunked(worker, reps: int, threads: int) -> list:
@@ -235,24 +225,24 @@ def empirical_cov(
     seed: SeedLike,
     threads: int = 1,
 ) -> np.ndarray:
-    """Second-moment matrix mean_r[S_n S_n^T] over replications.
+    """Second-moment matrix mean_r[S_n S_n^T] = basis^T M basis, M the K x K mean of coordinate products.
 
     S_n has mean zero by construction, so no sample-mean centering is applied;
     the weighted trace of this matrix is then algebraically identical to
     estimate_moment(s=2, p=2) on the same seeds.
     """
     reps = check_reps(reps)
-    block = sn_blocks(spec, n, grid, seed)
+    draw, basis = sn_coordinates(spec, n, grid, seed)
 
     def worker(lo: int, hi: int) -> np.ndarray:
-        rows = block(lo, hi)
-        return rows.T @ rows
+        coords = draw(lo, hi)
+        return coords.T @ coords
 
     chunks = run_chunked(worker, reps, threads)
     acc = chunks[0].copy()
     for part in chunks[1:]:
         acc += part
-    return acc / float(reps)
+    return basis.T @ (acc / float(reps)) @ basis
 
 
 def sup_v_norm(

@@ -27,9 +27,10 @@ from .montecarlo import (
     MomentEstimate,
     check_reps,
     default_n_schedule,
+    project,
     replicate_norms,
     run_chunked,
-    sn_blocks,
+    sn_coordinates,
     summarize_norm_powers,
     sup_v_norm,
 )
@@ -326,9 +327,9 @@ def projection_variance_check(
     seed: SeedLike = 0,
     threads: int = 1,
 ) -> ProjectionCheck:
-    """Variance of the linear functional integral S_n x dmu vs x^T (W R W) x.
+    """Variance of the linear functional integral S_n x dmu vs x^T (W R W) x = ||F^T W x||^2.
 
-    R is the limit covariance, W the diagonal quadrature weights; the
+    R = F F^T is the limit covariance, W the diagonal quadrature weights; the
     projection has mean zero, so the empirical variance is the uncentered mean
     of squares. A one-dimensional necessary condition for the limit law.
     """
@@ -339,11 +340,12 @@ def projection_variance_check(
         raise ValueError("x must be finite")
     reps = check_reps(reps)
     wx = grid.weights * x
-    analytic = float(wx @ limit_covariance(spec, grid).covariance @ wx)
-    # reduced row by row, like lp_norms, so a replication's value does not depend on its block
-    block = sn_blocks(spec, n, grid, seed)
-    chunks = run_chunked(lambda lo, hi: (block(lo, hi) * wx).sum(axis=1), reps, threads)
-    proj = np.concatenate(chunks)
+    analytic = float(np.sum((limit_covariance(spec, grid).factor.T @ wx) ** 2))
+    draw, basis = sn_coordinates(spec, n, grid, seed)
+    # a replication's coordinates dotted with basis @ wx, one coordinate at a time, so its
+    # value does not depend on its block
+    column = (basis @ wx)[:, None]
+    proj = np.concatenate(run_chunked(lambda lo, hi: project(draw(lo, hi), column)[:, 0], reps, threads))
     sq = proj * proj
     empirical = float(np.mean(sq))
     se = math.sqrt(max(float(np.mean((sq - empirical) ** 2)), 0.0) / reps)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -244,6 +245,24 @@ def test_verify_clt_unit_scale_is_the_model_limit_law(tmp_path, capsys):
     capsys.readouterr()
     assert load_report(plain)["results"]["summary"] == load_report(scaled)["results"]["summary"]
     assert load_report(scaled)["results"]["limit_override"] == "scale:1"
+
+
+def test_verify_clt_cli_holds_no_grid_by_grid_matrix(tmp_path, capsys):
+    # a 4096 x 4096 covariance alone would be 128 MB; a run on 8 points first warms imports and caches
+    field = {"basis": {"name": "fourier", "k": 3}, "driver": {"iid_normal": {"sigma": 1.0, "k": 3}}}
+    argv = ["verify-clt", "--out", str(tmp_path / "r.json"), "--config"]
+    config = {"field": field, "p": 2.0, "reps": 100, "n_schedule": [16], "seed": 0}
+    assert main(argv + [write_config(tmp_path, "small.json", dict(config, grid={"uniform": 8}))]) in (0, 1)
+    big = write_config(tmp_path, "big.json", dict(config, grid={"uniform": 4096}))
+    tracemalloc.start()
+    try:
+        code = main(argv + [big])
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code in (0, 1)
+    assert peak < 8.0, peak
 
 
 def test_verify_clt_csv_and_scale_together_exit_2(tmp_path, capsys):
@@ -492,6 +511,16 @@ def test_integral_floats_accepted_for_integer_keys(tmp_path, capsys):
     assert isinstance(rep["config"]["reps"], float) and isinstance(rep["seed"], float)
 
 
+def test_help_offers_iid_for_alpha_profiles_only(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify-superstrong", "--help"])
+    assert "(profile object, required)" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["bounds", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert '("iid" or profile object)' in text and "beta profile as inline JSON (profile object)" in text
+
+
 def test_help_lists_config_only_keys(capsys):
     with pytest.raises(SystemExit):
         main(["verify-bounds", "--help"])
@@ -576,7 +605,8 @@ def valid_values(command, tmp_path):
         "dump_covariance": st.just(str(tmp_path / "dump.csv")),
         "csv": st.just(str(tmp_path / "norms.csv")),
         "profile": st.sampled_from(["iid", ALPHA, json.dumps(ALPHA)]),
-        "beta_profile": st.sampled_from(["iid", BETA, json.dumps(BETA)]),
+        # "iid" is an alpha shortcut only (test_iid_beta_profile_exits_2)
+        "beta_profile": st.sampled_from([BETA, json.dumps(BETA)]),
     }
 
 

@@ -21,16 +21,20 @@ from cltlab import (
 )
 from cltlab import montecarlo
 from cltlab.discretize import lp_norms
-from cltlab.fieldgen import Normal
+from cltlab.fieldgen import Normal, long_run_covariance
 from cltlab.limitlaw import FACTOR_RTOL, LimitField
 from cltlab.rng import philox_key
 
 from conftest import assert_rel
 
 
-def factor_residual(field):
-    cov = field.covariance
+def factor_residual(field, cov):
     return float(np.linalg.norm(field.factor @ field.factor.T - cov) / np.linalg.norm(cov))
+
+
+def model_covariance(spec):
+    """The limit covariance on the grid, basis^T Lambda basis, as a grid x grid matrix."""
+    return spec.basis.T @ long_run_covariance(spec) @ spec.basis
 
 
 def test_identity_factors_without_jitter():
@@ -41,15 +45,15 @@ def test_identity_factors_without_jitter():
 def test_ar1_const_basis_covariance_is_constant_three(grid16):
     spec = FieldSpec(basis=basis_matrix("const", 1, grid16), driver=ar1_unit_marginal(0.5))
     field = limit_covariance(spec, grid16)
-    assert np.allclose(field.covariance, 3.0, atol=1e-12)
-    assert factor_residual(field) <= FACTOR_RTOL
+    assert np.allclose(field.factor @ field.factor.T, 3.0, atol=1e-12)
+    assert factor_residual(field, model_covariance(spec)) <= FACTOR_RTOL
 
 
 def test_fourier_basis_covariance_matches_gram(grid16):
     spec = FieldSpec(basis=basis_matrix("fourier", 3, grid16), driver=IidNormal(k=3))
     field = limit_covariance(spec, grid16)
     phi = basis_matrix("fourier", 3, grid16)
-    assert np.allclose(field.covariance, phi.T @ phi, atol=1e-12)
+    assert np.allclose(field.factor @ field.factor.T, phi.T @ phi, atol=1e-12)
 
 
 def test_limit_sampling_rank_one_mean_abs_normal(grid16):
@@ -77,7 +81,7 @@ def test_model_limit_factor_is_exact_in_basis_coordinates(name, k):
     spec = FieldSpec(basis=basis_matrix(name, k, grid), driver=MaQ(weights=(1.0, 1.0), k=k))
     field = limit_covariance(spec, grid)
     assert field.factor.shape == (64, k)
-    assert factor_residual(field) <= 1e-14
+    assert factor_residual(field, model_covariance(spec)) <= 1e-14
 
 
 def test_limit_norms_independent_of_reps_and_threads(grid16):
@@ -113,7 +117,7 @@ def test_factorize_reproduces_psd_matrices(data, n, rank, exponent):
     cov = 10.0**exponent * (a @ a.T)
     field = factorize_covariance(cov)
     assert np.all(np.isfinite(field.factor)) and field.factor.shape[1] <= min(n, rank)
-    assert factor_residual(field) <= FACTOR_RTOL
+    assert factor_residual(field, cov) <= FACTOR_RTOL
 
 
 @pytest.mark.parametrize("scale", [1e-14, 1e-12, 1.0, 1e10])
@@ -121,8 +125,7 @@ def test_rank_one_all_ones_factors_at_every_scale(scale):
     cov = scale * np.ones((8, 8))
     field = factorize_covariance(cov)
     assert field.factor.shape == (8, 1)
-    assert factor_residual(field) <= FACTOR_RTOL
-    assert np.array_equal(field.covariance, cov)
+    assert factor_residual(field, cov) <= FACTOR_RTOL
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1.0, 1e8])
@@ -130,9 +133,10 @@ def test_ma1_limit_covariance_factors_to_its_rank(scale):
     # clt-golden's MA(1) shape: rank 16 on 64 points, so the factor has 16 columns
     grid = uniform_grid(64)
     spec = FieldSpec(basis=basis_matrix("fourier", 16, grid), driver=MaQ(weights=(1.0, 1.0), k=16))
-    field = factorize_covariance(scale * limit_covariance(spec, grid).covariance)
+    cov = scale * model_covariance(spec)
+    field = factorize_covariance(cov)
     assert field.factor.shape == (64, 16)
-    assert factor_residual(field) <= FACTOR_RTOL
+    assert factor_residual(field, cov) <= FACTOR_RTOL
 
 
 @settings(max_examples=100, deadline=None)
@@ -163,7 +167,7 @@ def one_limit_replication(field, p, grid, seed, rep):
 def test_limit_rows_are_one_replication_blocks(data, size, rank, p, reps, threads, seed):
     grid = uniform_grid(size)
     factor = matrices(data.draw, size, rank)
-    field = LimitField(covariance=factor @ factor.T, factor=factor)
+    field = LimitField(factor)
     norms = sample_limit_norms(field, p, grid, reps, seed, threads)
     assert norms.shape == (reps,)
     rep = data.draw(st.integers(0, reps - 1))
@@ -172,8 +176,9 @@ def test_limit_rows_are_one_replication_blocks(data, size, rank, p, reps, thread
 
 
 def test_zero_covariance_gives_zero_factor(grid16):
+    # one zero column, not n: the fewest that montecarlo.project takes
     field = factorize_covariance(np.zeros((3, 3)))
-    assert np.array_equal(field.factor, np.zeros((3, 3)))
+    assert np.array_equal(field.factor, np.zeros((3, 1)))
     g3 = uniform_grid(3)
     norms = sample_limit_norms(field, 2.0, g3, 50, seed=0)
     assert np.array_equal(norms, np.zeros(50))
@@ -197,7 +202,7 @@ def test_symmetry_check_is_relative_to_the_matrix(scale):
     with pytest.raises(ValueError, match="symmetric"):
         factorize_covariance(scale * np.array([[1.0, 0.5], [0.0, 1.0]]))
     near = scale * np.array([[1.0, 0.5], [0.5 + 1e-13, 1.0]])
-    assert np.array_equal(factorize_covariance(near).covariance, (near + near.T) / 2.0)
+    assert factor_residual(factorize_covariance(near), (near + near.T) / 2.0) <= FACTOR_RTOL
 
 def test_sample_limit_norms_validation(grid16):
     spec = FieldSpec(basis=basis_matrix("const", 1, grid16), driver=IidNormal())
@@ -213,7 +218,7 @@ def test_gaussian_limit_second_moment_matches_weighted_trace(grid16):
     field = limit_covariance(spec, grid16)
     norms = sample_limit_norms(field, 2.0, grid16, 6000, seed=21)
     second = float(np.mean(norms**2))
-    trace = float(np.sum(grid16.weights * np.diag(field.covariance)))
+    trace = float(np.sum(grid16.weights * np.sum(field.factor**2, axis=1)))
     # E||S||_2^2 = integral of Var S(t) = weighted trace
     se = float(np.std(norms**2, ddof=1)) / math.sqrt(norms.size)
     assert abs(second - trace) < 4.0 * se + 1e-7

@@ -32,7 +32,7 @@ from cltlab import (
 from cltlab.discretize import lp_norms
 from cltlab.fieldgen import Normal, Rademacher
 from cltlab.limitlaw import LimitField
-from cltlab.montecarlo import CHUNK, CI_Z, MIN_REPS, TILE, project, sn_blocks
+from cltlab.montecarlo import CHUNK, CI_Z, MIN_REPS, TILE, project, sn_coordinates
 from cltlab.rng import philox_key, words
 
 from conftest import assert_rel
@@ -49,9 +49,15 @@ def test_ci_z_is_99_percent_quantile():
     assert_rel(CI_Z, float(norm.ppf(0.995)), 1e-12)
 
 
-def test_sn_blocks_gaussian_closed_case(const_normal_field, grid16):
+def sn_rows(spec, n, grid, seed, lo, hi):
+    """S_n on the grid for replications lo, ..., hi - 1, one row each: the engine's coordinates, projected."""
+    draw, basis = sn_coordinates(spec, n, grid, seed)
+    return project(draw(lo, hi), basis)
+
+
+def test_sn_rows_gaussian_closed_case(const_normal_field, grid16):
     # phi = 1, iid N(0,1): S_n is exactly N(0,1), constant across the grid
-    s = sn_blocks(const_normal_field, 64, grid16, 5)(0, 1)[0]
+    s = sn_rows(const_normal_field, 64, grid16, 5, 0, 1)[0]
     assert s.shape == (16,)
     assert np.all(s == s[0])
 
@@ -119,7 +125,7 @@ def one_replication(spec, n, grid, seed, rep):
 def test_block_rows_match_one_replication_rows(grid16, driver, scale_decay):
     spec = FieldSpec(basis=basis_matrix("fourier", 3, grid16), driver=driver, scale_decay=scale_decay)
     lo, hi = CHUNK - 5, CHUNK + 7
-    block = sn_blocks(spec, 48, grid16, 11)(lo, hi)
+    block = sn_rows(spec, 48, grid16, 11, lo, hi)
     assert block.shape == (hi - lo, grid16.size)
     # only scaled Rademacher draws the path
     path = getattr(spec.driver.time_sum_law(48, spec.scales(48)), "c", None) is not None
@@ -127,7 +133,7 @@ def test_block_rows_match_one_replication_rows(grid16, driver, scale_decay):
     # a row does not depend on the block it is computed in; the path
     # samplers are its reference in law only (test_exact_time_sums_agree_with_path_sums_in_law)
     for i, rep in enumerate(range(lo, hi)):
-        assert np.array_equal(sn_blocks(spec, 48, grid16, 11)(rep, rep + 1)[0], block[i])
+        assert np.array_equal(sn_rows(spec, 48, grid16, 11, rep, rep + 1)[0], block[i])
         assert np.array_equal(one_replication(spec, 48, grid16, 11, rep), block[i])
 
 
@@ -305,7 +311,7 @@ ENGINE_DRIVERS = st.one_of(
 def test_engine_rows_are_one_replication_blocks(driver, scale_decay, n, seed, lo, size, reps, p):
     grid = uniform_grid(8)
     spec = FieldSpec(basis=basis_matrix("indicator", driver.k, grid), driver=driver, scale_decay=scale_decay)
-    block = sn_blocks(spec, n, grid, seed)(lo, lo + size)
+    block = sn_rows(spec, n, grid, seed, lo, lo + size)
     norms = replicate_norms(spec, n, p, grid, reps, seed)
     for rep in list(range(lo, lo + size)) + [0, reps - 1]:
         row = one_replication(spec, n, grid, seed, rep)
@@ -341,7 +347,7 @@ def test_tiled_norms_are_one_replication_norms(driver, scale_decay, n, rank, see
     law = spec.driver.time_sum_law(n, spec.scales(n))
     assert norms.tolist() == own_norms(law, spec.basis, n, seed, reps, p, grid)
     factor = np.random.default_rng(seed).standard_normal((grid.size, rank))
-    limit_norms = sample_limit_norms(LimitField(factor @ factor.T, factor), p, grid, reps, seed)
+    limit_norms = sample_limit_norms(LimitField(factor), p, grid, reps, seed)
     assert limit_norms.tolist() == own_norms(Normal(1.0), np.ascontiguousarray(factor.T), 1, seed, reps, p, grid)
 
 
@@ -365,6 +371,17 @@ def test_empirical_cov_trace_identity(grid16, const_normal_field):
     assert abs(trace - est.value) < 1e-10
     # const basis: every entry estimates the same scalar
     assert np.allclose(cov, cov[0, 0], atol=1e-12)
+
+
+def test_empirical_cov_matches_the_grid_path():
+    # the mean outer product of the replications' grid rows
+    grid = uniform_grid(64)
+    spec = FieldSpec(basis=basis_matrix("fourier", 5, grid), driver=MaQ(weights=(1.0, 0.5), k=5), scale_decay=0.5)
+    reps = 700
+    cov = empirical_cov(spec, 32, grid, reps, seed=3)
+    rows = sn_rows(spec, 32, grid, 3, 0, reps)
+    ref = rows.T @ rows / reps
+    assert np.abs(cov - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_empirical_cov_parallel_matches_serial(grid16, const_normal_field):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cltlab import FieldSpec, IidNormal, basis_matrix, uniform_grid
 from cltlab.limitlaw import limit_covariance, sample_limit_norms
-from cltlab.montecarlo import CHUNK, sn_blocks
+from cltlab.montecarlo import CHUNK, sn_coordinates
 from cltlab.rng import philox, philox_key, seed_path, stream, words
 
 ONES = 0xFFFFFFFF
@@ -108,7 +108,8 @@ def test_one_key_derivation_per_block(monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
     grid = uniform_grid(8)
     spec = FieldSpec(basis=basis_matrix("fourier", 3, grid), driver=IidNormal(k=3))
-    sn_blocks(spec, 16, grid, 4)(0, 300)
+    draw, _ = sn_coordinates(spec, 16, grid, 4)
+    draw(0, 300)
     assert len(made) == 1
     made.clear()
     sample_limit_norms(limit_covariance(spec, grid), 2.0, grid, 3 * CHUNK, 5)

@@ -1,6 +1,7 @@
 """Statistical verdicts: KS machinery, CLT checks, bound audits, projections."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from cltlab import (
     verify_superstrong,
 )
 from cltlab import verify
+from cltlab.fieldgen import long_run_covariance
+from cltlab.montecarlo import project, sn_coordinates
 
 from conftest import assert_rel
 
@@ -142,7 +145,7 @@ def test_trend_threshold_against_quadrature(steps):
 
 def test_verify_clt_rejects_wrong_limit(const_normal_field, grid16):
     base = limit_covariance(const_normal_field, grid16)
-    wrong = factorize_covariance(base.covariance * 9.0)
+    wrong = factorize_covariance(9.0 * base.factor @ base.factor.T)
     summary = verify_clt(const_normal_field, [16, 64], 2.0, grid16, 400, seed=0, limit_field=wrong)
     assert not summary.converged
     assert not summary.verdicts[-1].passed
@@ -236,6 +239,47 @@ def test_projection_variance_fourier_orthonormality(grid16):
     chk = projection_variance_check(spec, x, 64, grid16, 600, seed=6)
     assert_rel(chk.analytic, 1.0, 1e-10)  # quadrature orthonormality is exact here
     assert chk.within_ci
+
+
+def test_projection_variance_matches_the_grid_path():
+    # the functional of each replication's grid row, against the one of its basis coordinates
+    grid = uniform_grid(64)
+    spec = FieldSpec(basis=basis_matrix("fourier", 5, grid), driver=MaQ(weights=(1.0, 0.5), k=5), scale_decay=0.5)
+    x = 0.5 + np.cos(2.0 * math.pi * grid.points) + grid.points**2
+    reps = 700
+    chk = projection_variance_check(spec, x, 32, grid, reps, seed=3)
+    wx = grid.weights * x
+    draw, basis = sn_coordinates(spec, 32, grid, 3)
+    rows = project(draw(0, reps), basis)
+    assert_rel(chk.empirical, float(np.mean(((rows * wx).sum(axis=1)) ** 2)), 1e-12)
+    assert_rel(chk.analytic, float(wx @ (spec.basis.T @ long_run_covariance(spec) @ spec.basis) @ wx), 1e-12)
+
+
+def traced_peak_mb(run) -> float:
+    """Peak traced allocation of run() in MB, after one untraced call warms imports and caches."""
+    run(uniform_grid(8))
+    grid = uniform_grid(4096)
+    tracemalloc.start()
+    try:
+        run(grid)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def fourier3(grid):
+    return FieldSpec(basis=basis_matrix("fourier", 3, grid), driver=IidNormal(k=3))
+
+
+def test_verify_clt_holds_no_grid_by_grid_matrix():
+    # a 4096 x 4096 covariance alone would be 128 MB
+    peak = traced_peak_mb(lambda grid: verify_clt(fourier3(grid), [16], 2.0, grid, 100, seed=0))
+    assert peak < 8.0, peak
+
+
+def test_projection_variance_holds_no_grid_by_grid_matrix():
+    peak = traced_peak_mb(lambda grid: projection_variance_check(fourier3(grid), np.ones(grid.size), 16, grid, 300))
+    assert peak < 8.0, peak
 
 
 def test_projection_variance_validation(const_normal_field, grid16):
