@@ -14,10 +14,12 @@ A driver's time_sum_law(n, c) is the law of the time sums sum_i c_i X_i of
 its components, as a small frozen object: law.block(key, lo, hi, k) returns
 the k standard variates of each replication lo, ..., hi - 1 as a (hi - lo, k)
 array, computed from that replication's Philox words (rng.words) only, and
-the sums are those variates times law.sd. A Gaussian driver's sum is a fixed
-linear combination of independent innovations, so it is Normal(sd) with sd^2
-the sum of the squared coefficients (Brockwell and Davis, Time Series: Theory
-and Methods, 7.1), one standard normal per component, by Box-Muller. The
+the sums are those variates times law.sd; law.rep_words(k) is what one
+replication of a block costs in 4-byte words, so callers can size blocks by
+memory. A Gaussian driver's sum is a fixed linear combination of
+independent innovations, so it is Normal(sd) with sd^2 the sum of the
+squared coefficients (Brockwell and Davis, Time Series: Theory and Methods,
+7.1), one standard normal per component, by Box-Muller. The
 Rademacher driver's law is Rademacher(n, c) with sd 1, n sign bits per
 component: an unweighted sum is exactly 2 popcount(bits) - n; a weighted one
 unpacks the bits to +-1 and sums them with weights c.
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, islice
 from math import fsum
 from typing import Optional, Union
@@ -87,6 +90,10 @@ class Normal:
 
     sd: float
 
+    def rep_words(self, k: int) -> int:
+        """Philox words one replication takes: four per pair of normals."""
+        return 4 * -(-k // 2)
+
     def block(self, key: tuple, lo: int, hi: int, k: int) -> np.ndarray:
         """(hi - lo, k) standard normals, two per Philox block of four words, by Box-Muller.
 
@@ -121,6 +128,13 @@ class Rademacher:
     n: int
     c: Optional[np.ndarray] = None
     sd = 1.0
+
+    def rep_words(self, k: int) -> int:
+        """4-byte words one replication costs: its k m Philox words unweighted; weighted, the
+        larger temporaries block makes of them, 32 k m bytes of unpacked bits and one
+        component's n float signs."""
+        m = -(-self.n // 32)
+        return k * m if self.c is None else 8 * k * m + 2 * self.n
 
     def block(self, key: tuple, lo: int, hi: int, k: int) -> np.ndarray:
         """(hi - lo, k) sums, one per component of each replication lo, ..., hi - 1."""
@@ -348,9 +362,18 @@ class Ar1:
         Every term of the variance is a square: no closed form in rho that
         cancels as rho nears +-1.
         """
-        b = _ar1_filter(_weights(n, scales)[::-1], self.rho)[::-1]
+        if scales is None:
+            return _unscaled_ar1_law(self, n)
+        b = _ar1_filter(scales[::-1], self.rho)[::-1]
         start = self.rho * b[0] / math.sqrt((1.0 - self.rho) * (1.0 + self.rho))
         return Normal(self.sigma_innov * _l2(np.append(start, b)))
+
+
+@lru_cache(maxsize=256)
+def _unscaled_ar1_law(driver: Ar1, n: int) -> Normal:
+    """driver.time_sum_law(n, ones), kept per (driver, n): its filter is a Python loop over n,
+    and every verification call asks for the same unscaled laws again."""
+    return driver.time_sum_law(n, np.ones(n))
 
 
 def ar1_unit_marginal(rho: float, k: int = 1) -> Ar1:

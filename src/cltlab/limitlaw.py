@@ -8,13 +8,16 @@ driver components. The components are independent, Lambda = lrv I, so
 R = F F^T with the exact factor F = sqrt(lrv) basis^T, whatever the rank
 of R. A covariance given directly (an injected, deliberately wrong limit
 law) is factored by one symmetric eigendecomposition, keeping the
-eigenvalues above numpy's matrix-rank tolerance; an indefinite matrix or a
+eigenvalues above numpy's matrix-rank tolerance, and the factor is checked
+against the matrix PANEL rows of F F^T at a time; an indefinite matrix or a
 factor that does not reproduce it raises, it never produces silent NaNs.
 
 A replication of the limit field is the n = 1 field of the time-sum law
 Normal(1.0) on the factor's columns: r Box-Muller normals from its own
-Philox counters, projected onto the columns and reduced to its L^p norm by
-montecarlo.field_norms, at most montecarlo.TILE grid values at a time.
+Philox counters, drawn with the other replications of a call in blocks of
+at most montecarlo.BLOCK_WORDS Philox words under one key, projected onto
+the columns and reduced to its L^p norm by montecarlo.field_norms a
+montecarlo.CHUNK at a time, at most montecarlo.TILE grid values at a time.
 """
 
 from __future__ import annotations
@@ -35,6 +38,10 @@ FACTOR_RTOL = 1e-8
 
 # Largest |cov - cov^T| entry accepted, relative to the largest |cov| entry.
 SYMMETRY_RTOL = 1e-12
+
+# Rows of F F^T - R formed at a time by the factor check, so it makes no
+# grid x grid array.
+PANEL = 256
 
 # Eigenvalues below -1e-10 * max diagonal mean the matrix is indefinite, which
 # the factorization must not paper over.
@@ -60,7 +67,8 @@ def factorize_covariance(cov: np.ndarray) -> LimitField:
     the result does not depend on the matrix's units; an all-zero matrix
     gets one zero column, the fewest that montecarlo.project takes. Raises
     DegenerateCovarianceError when the matrix is indefinite beyond tolerance or
-    F F^T misses cov by more than FACTOR_RTOL relative Frobenius error.
+    F F^T misses cov by more than FACTOR_RTOL relative Frobenius error, which
+    is summed PANEL rows at a time, never as a whole grid x grid product.
     """
     cov = np.asarray(cov, dtype=float)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.shape[0] == 0:
@@ -78,13 +86,25 @@ def factorize_covariance(cov: np.ndarray) -> LimitField:
         raise DegenerateCovarianceError("covariance is indefinite beyond tolerance")
     keep = lam > lam[-1] * cov.shape[0] * np.finfo(float).eps
     factor = vec[:, keep] * np.sqrt(lam[keep])
-    error = float(np.linalg.norm(factor @ factor.T - cov)) / float(np.linalg.norm(cov))
+    error = math.sqrt(_residual_sq(factor, cov)) / float(np.linalg.norm(cov))
     if not error <= FACTOR_RTOL:
         raise DegenerateCovarianceError(
             f"covariance factor misses the matrix by {error:.3g} relative error; "
             "the matrix is numerically degenerate"
         )
     return LimitField(factor)
+
+
+def _residual_sq(factor: np.ndarray, cov: np.ndarray) -> float:
+    """||factor factor^T - cov||_F^2, summed over PANEL rows of the product at a time, in one buffer."""
+    size = cov.shape[0]
+    buf = np.empty((min(PANEL, size), size))
+    total = 0.0
+    for a in range(0, size, PANEL):
+        panel = np.matmul(factor[a : a + PANEL], factor.T, out=buf[: min(PANEL, size - a)])
+        panel -= cov[a : a + PANEL]
+        total += float(np.vdot(panel, panel))
+    return total
 
 
 def limit_covariance(spec: FieldSpec, grid: GridSpace) -> LimitField:
@@ -109,11 +129,12 @@ def sample_limit_norms(
     montecarlo.field_norms with the law Normal(1.0) at n = 1, whose scaling
     by 1.0 / sqrt(1) is exact; with row-by-row projection and norms, a
     replication's norm depends on seed and rep only, not on reps, threads or
-    the tile it is reduced in.
+    the block, chunk or tile it is drawn and reduced in.
     """
     if field.factor.shape[0] != grid.size:
         raise ValueError("limit field lives on a different grid size")
     if int(reps) != reps or reps < 1:
         raise ValueError("reps must be a positive integer")
-    worker = field_norms(Normal(1.0), field.factor.T, 1, seed, p, grid)
-    return np.concatenate(run_chunked(worker, int(reps), threads))
+    reps = int(reps)
+    worker = field_norms(Normal(1.0), field.factor.T, 1, seed, reps, p, grid)
+    return np.concatenate(run_chunked(worker, reps, threads))

@@ -1,18 +1,22 @@
 """Monte Carlo estimation of normed-sum moments S_n(t) = n^(-1/2) sum_i xi_i(t).
 
 Every estimator here, and the limit-law sampler in limitlaw, draws its
-replications the same way: a block of replications lo, ..., hi - 1 takes its
-k = len(rows) standard variates per replication from one call of the
-time-sum law's block(key, lo, hi, k), which computes replication rep's values
-from its own Philox counters under the seed's key (rng), with no loop over
-replications, and scales them by law.sd / sqrt(n). field_norms projects
-those coordinates onto the rows one row at a time and reduces them to L^p
-norms at most TILE grid values at a time, so a chunk's working arrays stay
-in cache. For S_n, _sn_field gives the driver's time_sum_law and the basis;
-sn_coordinates gives the coordinates alone, for statistics computed in the
-basis. Each row of a block is computed and reduced on its own, so a
-replication's values depend on (seed path, rep) only: neither on how many
-replications run, nor on the block or tile they land in.
+replications the same way. A call derives the seed's Philox key (rng) once,
+then draws its reps replications in blocks: one call of the time-sum law's
+block(key, lo, hi, k) per block, which computes replication rep's k standard
+variates from its own Philox counters under that key, with no loop over
+replications, and scales them by law.sd / sqrt(n). A block holds as many
+replications as fit BLOCK_WORDS words at law.rep_words(k) each, a multiple
+of CHUNK and at least one CHUNK, and ends at reps. The replications are
+still reduced a CHUNK at a time, each chunk a slice of its block:
+field_norms projects a chunk's coordinates onto the rows one row at a time
+and reduces them to L^p norms at most TILE grid values at a time, so a
+chunk's working arrays stay in cache. For S_n, _sn_field gives the driver's
+time_sum_law and the basis; sn_coordinates gives the coordinates alone, for
+statistics computed in the basis. Each row of a block is computed and
+reduced on its own, so a replication's values depend on (seed path, rep)
+only: neither on how many replications run, nor on the block, chunk or tile
+they land in.
 Replications run in the calling thread, in fixed-size chunks whose results
 are assembled in index order; the threads argument of the public functions
 is checked and accepted but does not change the work or any result.
@@ -36,8 +40,13 @@ from .rng import SeedLike, philox_key, seed_path  # noqa: F401
 CI_Z = 2.5758293035489004
 
 # Chunk size is fixed, so every run sums identical partial results in
-# identical order, and bounds the memory of one block.
+# identical order; a block of draws is a whole number of chunks.
 CHUNK = 256
+
+# Philox words a block of replications takes at most (64 KiB of uint32),
+# unless one CHUNK takes more; blocks change which replications are drawn
+# together, never a value.
+BLOCK_WORDS = 1 << 14
 
 # Grid values projected and reduced at a time within a chunk (128 KiB of
 # float64); a row is reduced on its own, so the tile size changes no result.
@@ -82,35 +91,45 @@ def project(coords: np.ndarray, rows: np.ndarray) -> np.ndarray:
     BLAS product can round a row differently with the number of rows.
     """
     out = coords[:, :1] * rows[0]
+    tmp = np.empty_like(out)
     for c in range(1, rows.shape[0]):
-        out += coords[:, c : c + 1] * rows[c]
+        out += np.multiply(coords[:, c : c + 1], rows[c], out=tmp)
     return out
 
 
-def _coordinates(law: TimeSumLaw, k: int, n: int, seed: SeedLike):
+def _coordinates(law: TimeSumLaw, k: int, n: int, seed: SeedLike, reps: int):
     """draw(lo, hi): (law.sd / sqrt(n)) z for replications lo, ..., hi - 1, one row each.
 
-    z is law.block(key, lo, hi, k), with the seed's Philox key hashed once per
-    block; its row i comes from replication lo + i's counters only. It is
-    scaled as (z * sd) / sqrt(n), elementwise.
+    The seed's Philox key is derived once, here. z is a slice of the block
+    law.block(key, a, b, k) that holds lo, ..., hi - 1; a missing range starts
+    a new block at lo that reaches as far as BLOCK_WORDS words allow, in
+    whole CHUNKs of at least one, but not past reps unless hi does. A block's
+    row i comes from replication a + i's counters only, and it is scaled as
+    (z * sd) / sqrt(n), elementwise, so a row does not depend on its block.
     """
+    key = philox_key(seed)
     root = math.sqrt(n)
+    size = max(CHUNK, BLOCK_WORDS // law.rep_words(k) // CHUNK * CHUNK)
+    start, block = 0, np.empty((0, k))
 
     def draw(lo: int, hi: int) -> np.ndarray:
-        return law.block(philox_key(seed), lo, hi, k) * law.sd / root
+        nonlocal start, block
+        if lo < start or hi > start + block.shape[0]:
+            start, block = lo, law.block(key, lo, max(hi, min(lo + size, reps)), k) * law.sd / root
+        return block[lo - start : hi - start]
 
     return draw
 
 
-def field_norms(law: TimeSumLaw, rows: np.ndarray, n: int, seed: SeedLike, p: float, grid: GridSpace):
-    """worker(lo, hi): L^p norms of the block's coordinates projected onto rows, row by row, bit for bit.
+def field_norms(law: TimeSumLaw, rows: np.ndarray, n: int, seed: SeedLike, reps: int, p: float, grid: GridSpace):
+    """worker(lo, hi): L^p norms of the chunk's coordinates projected onto rows, row by row, bit for bit.
 
-    The coordinates (_coordinates) are drawn once, then projected and reduced
-    max(1, TILE // grid.size) rows at a time, so no array the size of the
-    whole projected block is made.
+    The coordinates of reps replications are drawn in blocks (_coordinates),
+    then projected and reduced max(1, TILE // grid.size) rows at a time, so
+    no array the size of the whole projected chunk is made.
     """
     rows = np.ascontiguousarray(rows)
-    draw = _coordinates(law, rows.shape[0], n, seed)
+    draw = _coordinates(law, rows.shape[0], n, seed, reps)
     step = max(1, TILE // grid.size)
 
     def worker(lo: int, hi: int) -> np.ndarray:
@@ -132,10 +151,14 @@ def _sn_field(spec: FieldSpec, n: int, grid: GridSpace) -> tuple:
     return spec.driver.time_sum_law(n, spec.scales(n)), spec.basis, n
 
 
-def sn_coordinates(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike) -> tuple:
-    """(draw, basis): S_n = project(draw(lo, hi), basis) for replications lo, ..., hi - 1, one row each."""
+def sn_coordinates(spec: FieldSpec, n: int, grid: GridSpace, seed: SeedLike, reps: int) -> tuple:
+    """(draw, basis): S_n = project(draw(lo, hi), basis) for replications lo, ..., hi - 1, one row each.
+
+    draw serves replications 0, ..., reps - 1 from blocks (_coordinates);
+    a range past reps is drawn too, in a block that ends at its hi.
+    """
     law, basis, n = _sn_field(spec, n, grid)
-    return _coordinates(law, basis.shape[0], n, seed), basis
+    return _coordinates(law, basis.shape[0], n, seed, reps), basis
 
 
 def run_chunked(worker, reps: int, threads: int) -> list:
@@ -159,7 +182,7 @@ def replicate_norms(
 ) -> np.ndarray:
     """||S_n||_p over replications, each from its own Philox counters."""
     reps = check_reps(reps)
-    worker = field_norms(*_sn_field(spec, n, grid), seed, p, grid)
+    worker = field_norms(*_sn_field(spec, n, grid), seed, reps, p, grid)
     return np.concatenate(run_chunked(worker, reps, threads))
 
 
@@ -232,7 +255,7 @@ def empirical_cov(
     estimate_moment(s=2, p=2) on the same seeds.
     """
     reps = check_reps(reps)
-    draw, basis = sn_coordinates(spec, n, grid, seed)
+    draw, basis = sn_coordinates(spec, n, grid, seed, reps)
 
     def worker(lo: int, hi: int) -> np.ndarray:
         coords = draw(lo, hi)

@@ -341,7 +341,7 @@ def projection_variance_check(
     reps = check_reps(reps)
     wx = grid.weights * x
     analytic = float(np.sum((limit_covariance(spec, grid).factor.T @ wx) ** 2))
-    draw, basis = sn_coordinates(spec, n, grid, seed)
+    draw, basis = sn_coordinates(spec, n, grid, seed, reps)
     # a replication's coordinates dotted with basis @ wx, one coordinate at a time, so its
     # value does not depend on its block
     column = (basis @ wx)[:, None]

@@ -27,7 +27,7 @@ from cltlab import (
     sup_v_norm,
     uniform_grid,
 )
-from cltlab import montecarlo
+from cltlab import fieldgen, montecarlo
 from cltlab.fieldgen import _l2, driver_from_dict, driver_to_dict
 from cltlab.rng import stream
 
@@ -197,6 +197,20 @@ def test_ar1_recurrence_matches_lfilter_bit_for_bit(rho, sigma_innov, n, k, scal
     b = lfilter([1.0], [1.0, -rho], (np.ones(n) if scales is None else scales)[::-1])[::-1]
     start = rho * b[0] / math.sqrt((1.0 - rho) * (1.0 + rho))
     assert ar.time_sum_law(n, scales).sd == sigma_innov * _l2(np.append(start, b))
+
+
+def test_unscaled_ar1_law_is_built_once_per_driver_and_n(monkeypatch):
+    ar = Ar1(rho=0.37, sigma_innov=1.3, k=2)
+    first = ar.time_sum_law(777)
+    filtered = []
+    original = fieldgen._ar1_filter
+    monkeypatch.setattr(fieldgen, "_ar1_filter", lambda *args: filtered.append(args) or original(*args))
+    # an equal frozen driver finds the same law, with no filter run
+    again = Ar1(rho=0.37, sigma_innov=1.3, k=2).time_sum_law(777)
+    assert not filtered and again.sd == first.sd
+    # the scaled path is not kept, and unit scales give the same bits
+    assert ar.time_sum_law(777, np.ones(777)).sd == first.sd
+    assert len(filtered) == 1
 
 
 def ulps_off(value, exact):

@@ -1,6 +1,7 @@
 """Limit covariance assembly, eigendecomposition of injected covariances, limit-law sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -147,6 +148,32 @@ def test_factorize_rejects_indefinite_matrices(data, n):
     assume(np.linalg.eigvalsh(cov).min() < -1e-6 * np.abs(cov).max())
     with pytest.raises(DegenerateCovarianceError):
         factorize_covariance(cov)
+
+
+def test_factor_check_makes_no_grid_by_grid_product(monkeypatch):
+    # a rank-5 matrix on 1024 points: the check after the eigendecomposition
+    # holds one 256-row panel of F F^T at a time, a quarter of the matrix
+    b = np.random.default_rng(0).standard_normal((1024, 5))
+    cov = b @ b.T
+    original = np.linalg.eigh
+    after = []
+
+    def eigh_then_reset_peak(a):
+        out = original(a)
+        tracemalloc.reset_peak()
+        after.append(tracemalloc.get_traced_memory()[0])
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_then_reset_peak)
+    tracemalloc.start()
+    try:
+        field = factorize_covariance(cov)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert field.factor.shape == (1024, 5)
+    assert factor_residual(field, cov) <= FACTOR_RTOL
+    assert peak - after[0] < cov.nbytes / 2
 
 
 def one_limit_replication(field, p, grid, seed, rep):

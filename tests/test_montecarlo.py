@@ -3,6 +3,7 @@
 import csv
 import math
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -32,7 +33,7 @@ from cltlab import (
 from cltlab.discretize import lp_norms
 from cltlab.fieldgen import Normal, Rademacher
 from cltlab.limitlaw import LimitField
-from cltlab.montecarlo import CHUNK, CI_Z, MIN_REPS, TILE, project, sn_coordinates
+from cltlab.montecarlo import BLOCK_WORDS, CHUNK, CI_Z, MIN_REPS, TILE, project, sn_coordinates
 from cltlab.rng import philox_key, words
 
 from conftest import assert_rel
@@ -51,7 +52,7 @@ def test_ci_z_is_99_percent_quantile():
 
 def sn_rows(spec, n, grid, seed, lo, hi):
     """S_n on the grid for replications lo, ..., hi - 1, one row each: the engine's coordinates, projected."""
-    draw, basis = sn_coordinates(spec, n, grid, seed)
+    draw, basis = sn_coordinates(spec, n, grid, seed, hi)
     return project(draw(lo, hi), basis)
 
 
@@ -349,6 +350,86 @@ def test_tiled_norms_are_one_replication_norms(driver, scale_decay, n, rank, see
     factor = np.random.default_rng(seed).standard_normal((grid.size, rank))
     limit_norms = sample_limit_norms(LimitField(factor), p, grid, reps, seed)
     assert limit_norms.tolist() == own_norms(Normal(1.0), np.ascontiguousarray(factor.T), 1, seed, reps, p, grid)
+
+
+def block_rows(law, k):
+    """Replications in a block of a call: as many whole chunks as BLOCK_WORDS words hold, at least one."""
+    return max(CHUNK, BLOCK_WORDS // law.rep_words(k) // CHUNK * CHUNK)
+
+
+def block_case(name, n, rank, seed, grid):
+    """(law, rows, n, norms(reps)) of one law of the engine: the norms of reps replications
+    through replicate_norms, or sample_limit_norms for the limit law."""
+    if name == "limit":
+        factor = np.random.default_rng(seed).standard_normal((grid.size, rank))
+        rows = np.ascontiguousarray(factor.T)
+        return Normal(1.0), rows, 1, lambda reps, p: sample_limit_norms(LimitField(factor), p, grid, reps, seed)
+    driver, scale_decay = {
+        "normal-1": (IidNormal(sigma=1.5, k=1), None),
+        "normal-16": (MaQ(weights=(1.0, 0.5), k=16), None),
+        "rademacher": (IidRademacher(k=3), None),
+        "weighted-rademacher": (IidRademacher(k=2), 0.5),
+    }[name]
+    spec = FieldSpec(basis=basis_matrix("indicator", driver.k, grid), driver=driver, scale_decay=scale_decay)
+    law = spec.driver.time_sum_law(n, spec.scales(n))
+    return law, spec.basis, n, lambda reps, p: replicate_norms(spec, n, p, grid, reps, seed)
+
+
+@given(
+    name=st.sampled_from(["normal-1", "normal-16", "rademacher", "weighted-rademacher", "limit"]),
+    n=st.integers(1, 400),
+    rank=st.integers(1, 16),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+    p=st.sampled_from([1.0, 2.0, 3.5]),
+)
+def test_block_boundary_norms_are_one_replication_norms(name, n, rank, seed, data, p):
+    # reps passes the end of the first block of a call and stops inside the
+    # second block and inside a chunk
+    grid = uniform_grid(20)
+    law, rows, n, norms_of = block_case(name, n, rank, seed, grid)
+    size = block_rows(law, rows.shape[0])
+    offset = data.draw(st.integers(1, size - 1))
+    reps = size + offset + (offset % CHUNK == 0)
+    assert reps < 2 * size and reps % CHUNK
+    norms = norms_of(reps, p)
+    assert norms.tolist() == own_norms(law, rows, n, seed, reps, p, grid)
+
+
+@pytest.mark.parametrize("name", ["normal-1", "normal-16", "rademacher", "weighted-rademacher", "limit"])
+def test_a_call_draws_each_replication_once(monkeypatch, name):
+    grid = uniform_grid(20)
+    law, rows, n, norms_of = block_case(name, 40, 3, 7, grid)
+    drawn = []
+    original = type(law).block
+
+    def counting(self, key, lo, hi, k):
+        drawn.append(hi - lo)
+        return original(self, key, lo, hi, k)
+
+    monkeypatch.setattr(type(law), "block", counting)
+    size = block_rows(law, rows.shape[0])
+    reps = 2 * size + 3
+    assert norms_of(reps, 2.0).shape == (reps,)
+    assert drawn == [size, size, 3]
+
+
+@pytest.mark.parametrize("n", [1024, 4096])
+def test_weighted_rademacher_holds_one_chunk_of_signs(n):
+    # a replication's float signs alone take 8 n bytes, so a block is one
+    # chunk; the peak stays at that chunk's signs, plus a quarter for their
+    # unpacked bits and words (at n = 1024, a budget of Philox words alone
+    # would make blocks of two chunks)
+    grid = uniform_grid(16)
+    spec = FieldSpec(basis=basis_matrix("const", 1, grid), driver=IidRademacher(k=1), scale_decay=0.5)
+    replicate_norms(spec, 64, 2.0, grid, MIN_REPS, seed=0)
+    tracemalloc.start()
+    try:
+        replicate_norms(spec, n, 2.0, grid, 3 * CHUNK + 10, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * CHUNK * n * 8
 
 
 def test_replicate_norms_reps_floor(const_normal_field, grid16):

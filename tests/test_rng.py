@@ -108,9 +108,11 @@ def test_one_key_derivation_per_block(monkeypatch):
     monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
     grid = uniform_grid(8)
     spec = FieldSpec(basis=basis_matrix("fourier", 3, grid), driver=IidNormal(k=3))
-    draw, _ = sn_coordinates(spec, 16, grid, 4)
-    draw(0, 300)
+    draw, _ = sn_coordinates(spec, 16, grid, 4, 2 * CHUNK)
+    draw(0, CHUNK)
+    draw(CHUNK, 300)
+    draw(0, 3 * CHUNK)
     assert len(made) == 1
     made.clear()
     sample_limit_norms(limit_covariance(spec, grid), 2.0, grid, 3 * CHUNK, 5)
-    assert len(made) == 3
+    assert len(made) == 1

@@ -249,7 +249,7 @@ def test_projection_variance_matches_the_grid_path():
     reps = 700
     chk = projection_variance_check(spec, x, 32, grid, reps, seed=3)
     wx = grid.weights * x
-    draw, basis = sn_coordinates(spec, 32, grid, 3)
+    draw, basis = sn_coordinates(spec, 32, grid, 3, reps)
     rows = project(draw(0, reps), basis)
     assert_rel(chk.empirical, float(np.mean(((rows * wx).sum(axis=1)) ** 2)), 1e-12)
     assert_rel(chk.analytic, float(wx @ (spec.basis.T @ long_run_covariance(spec) @ spec.basis) @ wx), 1e-12)
