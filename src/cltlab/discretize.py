@@ -104,12 +104,14 @@ def lp_norm(values: Sequence[float], p: float, grid: GridSpace) -> float:
     return float(lp_norms(vals[None, :], p, grid)[0])
 
 
-def lp_norms(matrix: np.ndarray, p: float, grid: GridSpace) -> np.ndarray:
-    """Row-wise weighted L^p norms of a (reps x grid) matrix.
+def lp_norms(matrix: np.ndarray, p: float, grid: GridSpace, root: bool = True) -> np.ndarray:
+    """Row-wise weighted L^p norms of a (reps x grid) matrix; with root=False, their p-th powers sum_j w_j |f_j|^p.
 
     Each row is reduced on its own, in grid order, so a row's norm is the same
-    bit for bit whatever the other rows are; lp_norm is the one-row case.
-    Raises ValueError when a norm is not a finite float.
+    bit for bit whatever the other rows are; lp_norm is the one-row case. A
+    norm is its power ** (1 / p), so both are the same sums. Raises
+    ValueError when a norm is not a finite float. Monte Carlo norms at even p
+    come from montecarlo.NormForm instead, where its cost rule picks it.
     """
     p = float(p)
     if not (1.0 <= p < math.inf):
@@ -125,7 +127,7 @@ def lp_norms(matrix: np.ndarray, p: float, grid: GridSpace) -> np.ndarray:
     with np.errstate(over="ignore"):  # checked below
         work **= p
         work *= grid.weights
-        norms = work.sum(axis=1) ** (1.0 / p)
-    if not np.all(np.isfinite(norms)):
+        powers = work.sum(axis=1)
+    if not np.all(np.isfinite(powers)):
         raise ValueError(f"||.||_p at p = {p:g} overflows a float")
-    return norms
+    return powers ** (1.0 / p) if root else powers

@@ -15,9 +15,11 @@ factor that does not reproduce it raises, it never produces silent NaNs.
 A replication of the limit field is the n = 1 field of the time-sum law
 Normal(1.0) on the factor's columns: r Box-Muller normals from its own
 Philox counters, drawn with the other replications of a call in blocks of
-at most montecarlo.BLOCK_WORDS Philox words under one key, projected onto
-the columns and reduced to its L^p norm by montecarlo.field_norms a
-montecarlo.CHUNK at a time, at most montecarlo.TILE grid values at a time.
+at most montecarlo.BLOCK_WORDS Philox words under one key, and reduced to
+its L^p norm by montecarlo.field_norms a montecarlo.CHUNK at a time: at
+even p, where montecarlo.form_pays picks it, through the columns'
+montecarlo.NormForm, else projected onto the columns and reduced at most
+montecarlo.TILE grid values at a time.
 """
 
 from __future__ import annotations
@@ -127,9 +129,10 @@ def sample_limit_norms(
     Replication rep takes its r = factor.shape[1] normals from its Philox
     counters under the seed's key (r = K for the model's limit law), through
     montecarlo.field_norms with the law Normal(1.0) at n = 1, whose scaling
-    by 1.0 / sqrt(1) is exact; with row-by-row projection and norms, a
-    replication's norm depends on seed and rep only, not on reps, threads or
-    the block, chunk or tile it is drawn and reduced in.
+    by 1.0 / sqrt(1) is exact; with each row reduced on its own (by the
+    norm form or by projection and norms), a replication's norm depends on
+    seed and rep only, not on reps, threads or the block, chunk or tile it
+    is drawn and reduced in.
     """
     if field.factor.shape[0] != grid.size:
         raise ValueError("limit field lives on a different grid size")

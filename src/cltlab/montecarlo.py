@@ -8,15 +8,17 @@ variates from its own Philox counters under that key, with no loop over
 replications, and scales them by law.sd / sqrt(n). A block holds as many
 replications as fit BLOCK_WORDS words at law.rep_words(k) each, a multiple
 of CHUNK and at least one CHUNK, and ends at reps. The replications are
-still reduced a CHUNK at a time, each chunk a slice of its block:
-field_norms projects a chunk's coordinates onto the rows one row at a time
-and reduces them to L^p norms at most TILE grid values at a time, so a
-chunk's working arrays stay in cache. For S_n, _sn_field gives the driver's
-time_sum_law and the basis; sn_coordinates gives the coordinates alone, for
-statistics computed in the basis. Each row of a block is computed and
-reduced on its own, so a replication's values depend on (seed path, rep)
-only: neither on how many replications run, nor on the block, chunk or tile
-they land in.
+still reduced a CHUNK at a time, each chunk a slice of its block, by
+field_norms. At even p, where form_pays picks it from the shapes alone,
+||S||_p^p is the degree-p polynomial NormForm in the k coordinates, whose
+coefficients are built once per call. Otherwise the chunk's coordinates are
+projected onto the rows one row at a time and reduced to L^p norms at most
+TILE grid values at a time, so a chunk's working arrays stay in cache. For
+S_n, _sn_field gives the driver's time_sum_law and the basis; sn_coordinates
+gives the coordinates alone, for statistics computed in the basis. Each row
+of a block is computed and reduced on its own, so a replication's values
+depend on (seed path, rep) only: neither on how many replications run, nor
+on the block, chunk or tile they land in.
 Replications run in the calling thread, in fixed-size chunks whose results
 are assembled in index order; the threads argument of the public functions
 is checked and accepted but does not change the work or any result.
@@ -26,8 +28,11 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from math import fsum
+from typing import Optional
 
 import numpy as np
 
@@ -51,6 +56,9 @@ BLOCK_WORDS = 1 << 14
 # Grid values projected and reduced at a time within a chunk (128 KiB of
 # float64); a row is reduced on its own, so the tile size changes no result.
 TILE = 16384
+
+# NormForm drops a coefficient with |c| <= FORM_ZERO_RTOL max |c|.
+FORM_ZERO_RTOL = 1e-14
 
 KURTOSIS_WARN = 100.0
 
@@ -121,23 +129,127 @@ def _coordinates(law: TimeSumLaw, k: int, n: int, seed: SeedLike, reps: int):
     return draw
 
 
-def field_norms(law: TimeSumLaw, rows: np.ndarray, n: int, seed: SeedLike, reps: int, p: float, grid: GridSpace):
+def form_pays(k: int, g: int, p: float) -> bool:
+    """Whether NormForm evaluates ||S||_p^p for K = k rows on g grid points: p even and comb(k + p - 1, p) p <= k g.
+
+    A replication then costs at most comb(k + p - 1, p) terms of p products
+    each, against k g multiply-adds and g powers on the grid path. The rule
+    reads the shapes alone, so the choice never depends on the values, the
+    replications or the seed, and a refused shape builds no coefficient.
+    """
+    if not (float(p).is_integer() and p % 2 == 0 and 2 <= p <= k * g):
+        return False
+    return math.comb(k + int(p) - 1, int(p)) * int(p) <= k * g
+
+
+@dataclass(frozen=True)
+class NormForm:
+    """||project(z, rows)||_p^p at even p as the polynomial sum_a coefs[a] prod_i z[terms[a, i]].
+
+    terms lists each multi-index alpha of degree p once, as p sorted row
+    indices, and coefs[a] = multinomial(alpha) sum_t w_t prod_k rows[k, t]^alpha_k.
+    Coefficients with |c| <= FORM_ZERO_RTOL max |c| are dropped; dropped is
+    the sum of their |c|. For Fourier rows on a uniform grid they are rounding
+    noise on exact zeros: at p = 2 only the K diagonal terms remain.
+
+    Rounding: with u = 2^-53, T = len(coefs) and A = sum_t w_t (sum_k |z_k
+    rows[k, t]|)^p >= sum_a |c_a z^a|, a value is within about (T + p) u A of
+    the form with the computed coefficients, those are within (g + p + 1) u A
+    of the exact ones, and the dropped terms add at most dropped max_k |z_k|^p.
+    Mixed-sign terms can cancel, so the bound is relative to A, not to the
+    value; a negative rounded sum is clamped to 0.
+    """
+
+    terms: np.ndarray
+    coefs: np.ndarray
+    p: int
+    dropped: float
+
+    @classmethod
+    def build(cls, rows: np.ndarray, p: int, grid: GridSpace) -> "NormForm":
+        """The form of rows (K x grid) at even p, its coefficients summed max(1, TILE // grid.size) terms at a time."""
+        k = rows.shape[0]
+        terms = np.array(list(combinations_with_replacement(range(k), p)), dtype=np.intp).reshape(-1, p)
+        multinomial = [math.factorial(p) // math.prod(map(math.factorial, Counter(t).values())) for t in terms.tolist()]
+        coefs = np.empty(len(terms))
+        step = max(1, TILE // grid.size)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite coefficient makes every value raise
+            for a in range(0, len(terms), step):
+                prod = rows[terms[a : a + step, 0]]
+                for i in range(1, p):
+                    prod *= rows[terms[a : a + step, i]]
+                prod *= grid.weights
+                coefs[a : a + step] = prod.sum(axis=1)
+            coefs *= np.array(multinomial, dtype=float)
+        # NaN compares false, so a NaN maximum drops nothing
+        drop = np.abs(coefs) <= FORM_ZERO_RTOL * np.abs(coefs).max()
+        return cls(terms[~drop], coefs[~drop], p, float(np.abs(coefs[drop]).sum()))
+
+    def __call__(self, coords: np.ndarray) -> np.ndarray:
+        """||S||_p^p of each row of coords (replications x K), each row computed on its own, bit for bit.
+
+        The terms are summed in their fixed order, elementwise, TILE // CHUNK
+        terms at a time: the products of a row's coordinates, times the
+        coefficients, then a running sum (np.add.accumulate, sequential by
+        definition) that starts from the sum of the earlier terms. No product
+        goes through BLAS, whose rounding can depend on the number of rows.
+        Raises the ValueError of discretize.lp_norms when a value is not a
+        finite float.
+        """
+        zt = np.ascontiguousarray(coords.T)
+        total = np.zeros(zt.shape[1])
+        step = max(1, TILE // CHUNK)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            for a in range(0, len(self.coefs), step):
+                mono = zt[self.terms[a : a + step, 0]]
+                for i in range(1, self.p):
+                    mono *= zt[self.terms[a : a + step, i]]
+                mono *= self.coefs[a : a + step, None]
+                mono[0] += total
+                np.add.accumulate(mono, axis=0, out=mono)
+                total = mono[-1]
+            total = np.maximum(total, 0.0)
+        if not np.all(np.isfinite(total)):
+            raise ValueError(f"||.||_p at p = {self.p:g} overflows a float")
+        return total
+
+
+def norm_form(rows: np.ndarray, p: float, grid: GridSpace) -> Optional[NormForm]:
+    """The NormForm of rows at p where form_pays picks it, else None for the grid path."""
+    if not form_pays(rows.shape[0], grid.size, p):
+        return None
+    return NormForm.build(rows, int(p), grid)
+
+
+def field_norms(
+    law: TimeSumLaw, rows: np.ndarray, n: int, seed: SeedLike, reps: int, p: float, grid: GridSpace, root: bool = True
+):
     """worker(lo, hi): L^p norms of the chunk's coordinates projected onto rows, row by row, bit for bit.
 
-    The coordinates of reps replications are drawn in blocks (_coordinates),
-    then projected and reduced max(1, TILE // grid.size) rows at a time, so
-    no array the size of the whole projected chunk is made.
+    With root=False the worker gives ||S||_p^p, the sums the norms are the
+    p-th roots of. The coordinates of reps replications are drawn in blocks
+    (_coordinates). Where form_pays picks it, the NormForm of the rows is
+    built once here and each chunk is evaluated through it. Otherwise (odd or
+    non-integer p, or more terms than the grid path has multiply-adds) the
+    chunk is projected and reduced max(1, TILE // grid.size) rows at a time,
+    so no array the size of the whole projected chunk is made; that path
+    takes any p >= 1 at a cost that does not grow with comb(K + p - 1, p).
     """
     rows = np.ascontiguousarray(rows)
     draw = _coordinates(law, rows.shape[0], n, seed, reps)
+    form = norm_form(rows, p, grid)
     step = max(1, TILE // grid.size)
 
-    def worker(lo: int, hi: int) -> np.ndarray:
+    def powers(lo: int, hi: int) -> np.ndarray:
         coords = draw(lo, hi)
-        tiles = [lp_norms(project(coords[a : a + step], rows), p, grid) for a in range(0, hi - lo, step)]
+        if form is not None:
+            return form(coords)
+        tiles = [lp_norms(project(coords[a : a + step], rows), p, grid, root=False) for a in range(0, hi - lo, step)]
         return np.concatenate(tiles)
 
-    return worker
+    if not root:
+        return powers
+    return lambda lo, hi: powers(lo, hi) ** (1.0 / p)
 
 
 def _sn_field(spec: FieldSpec, n: int, grid: GridSpace) -> tuple:
@@ -179,26 +291,34 @@ def replicate_norms(
     reps: int,
     seed: SeedLike,
     threads: int = 1,
+    root: bool = True,
 ) -> np.ndarray:
-    """||S_n||_p over replications, each from its own Philox counters."""
+    """||S_n||_p over replications, each from its own Philox counters; ||S_n||_p^p with root=False."""
     reps = check_reps(reps)
-    worker = field_norms(*_sn_field(spec, n, grid), seed, reps, p, grid)
+    worker = field_norms(*_sn_field(spec, n, grid), seed, reps, p, grid, root)
     return np.concatenate(run_chunked(worker, reps, threads))
 
 
 def summarize_norm_powers(norms: np.ndarray, n: int, s: float, p: float) -> MomentEstimate:
-    """CI assembly for mean(||S_n||_p^s), with a heavy-tail flag via kurtosis.
+    """CI assembly for mean(||S_n||_p^s) from the norms: summarize_powers of norms ** s, raising as it does."""
+    with np.errstate(all="ignore"):  # summarize_powers checks s, the mean and the variance
+        powered = np.asarray(norms, dtype=float) ** s
+    return summarize_powers(powered, n, s, p)
 
-    Raises ValueError for fewer than two norms, and when the mean or the
+
+def summarize_powers(powered: np.ndarray, n: int, s: float, p: float) -> MomentEstimate:
+    """CI assembly for the mean of powered = ||S_n||_p^s, with a heavy-tail flag via kurtosis.
+
+    Raises ValueError for fewer than two values, and when the mean or the
     variance of the powers is not a finite float, as when the field's scale
     overflows them.
     """
     if not (1.0 <= s < math.inf):
         raise ValueError(f"moment power s must be finite and at least 1, not {s}")
-    if np.size(norms) < 2:
+    if np.size(powered) < 2:
         raise ValueError("a mean with a confidence interval needs at least two norms")
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        powered = np.asarray(norms, dtype=float) ** s
+        powered = np.asarray(powered, dtype=float)
         reps = powered.size
         value = float(np.mean(powered))
         centered = powered - value
@@ -294,9 +414,8 @@ def sup_v_norm(
         with np.errstate(over="ignore"):  # checked below
             terms, count = grid.weights * abs_normal_moment(v) * (scale_sup * np.sqrt(var_t)) ** v, 1
     else:
-        norms = replicate_norms(spec, 1, v, grid, reps, seed)
-        with np.errstate(over="ignore"):  # checked below
-            terms, count = norms**v, norms.size
+        terms = replicate_norms(spec, 1, v, grid, reps, seed, root=False)
+        count = terms.size
     try:
         integral = fsum(terms.tolist()) / count
     except OverflowError:  # fsum raises where a partial sum leaves float range

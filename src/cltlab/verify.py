@@ -31,7 +31,9 @@ from .montecarlo import (
     replicate_norms,
     run_chunked,
     sn_coordinates,
-    summarize_norm_powers,
+    # stays importable here for the tracing hooks in perfbench/tracing.py
+    summarize_norm_powers,  # noqa: F401
+    summarize_powers,
     sup_v_norm,
 )
 from .rng import SeedLike, seed_path
@@ -249,14 +251,15 @@ def _audit(
 ) -> BoundVerdict:
     """Both audits: I = sup_v_norm at v on the streams seed_path(seed, 1), then
     bound(I), then E||S_n||_s^s with its CI for each n of the schedule on the
-    streams seed_path(seed, 0, n). method gets "/analytic" or "/monte_carlo"
-    appended, as sup_v_norm found I for the driver."""
+    streams seed_path(seed, 0, n), averaged from the powers ||S_n||_s^s
+    themselves, never from norms raised back to s. method gets "/analytic" or
+    "/monte_carlo" appended, as sup_v_norm found I for the driver."""
     schedule = _schedule(n_schedule)
     integral = sup_v_norm(spec, grid, v, seed=seed_path(seed, 1))
     theoretical = bound(integral)
     s = float(s)
     estimates = [
-        summarize_norm_powers(replicate_norms(spec, n, s, grid, reps, seed_path(seed, 0, n), threads), n, s, s)
+        summarize_powers(replicate_norms(spec, n, s, grid, reps, seed_path(seed, 0, n), threads, root=False), n, s, s)
         for n in schedule
     ]
     kind = "analytic" if spec.driver.is_gaussian else "monte_carlo"

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import settings
 
 from cltlab import FieldSpec, IidNormal, basis_matrix, uniform_grid
+from cltlab.discretize import lp_norms
+from cltlab.montecarlo import norm_form, project
 
 # Tests that set no max_examples of their own (the row/block properties) take
 # it from the profile named by CLTLAB_HYPOTHESIS_PROFILE: "tier1" by default,
@@ -30,3 +32,12 @@ def assert_rel(actual, expected, rel, msg=""):
     assert abs(actual - expected) / denom < rel, (
         msg or f"{actual!r} vs {expected!r} beyond relative {rel}"
     )
+
+
+def one_row_norm(rows, p, grid):
+    """norm(coords): ||S||_p of one replication from its (1 x K) coordinates on rows, as the engine
+    reduces it: through the rows' NormForm where form_pays picks it, else projected and reduced on the grid."""
+    form = norm_form(rows, p, grid)
+    if form is None:
+        return lambda coords: lp_norms(project(coords, rows), p, grid)[0]
+    return lambda coords: (form(coords) ** (1.0 / p))[0]

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -412,6 +413,27 @@ def test_moments_that_overflow_exit_2(tmp_path, capsys, command, base):
     # finite variances, but ||S_n||^4 near (1e100)^4 overflows the estimate
     assert run_config(tmp_path, command, dict(base, field=field_with_sigma(1e100))) == 2
     assert_one_config_error(capsys)
+
+
+def test_even_p_overflow_raises_as_the_grid_path_does(tmp_path, capsys):
+    # sigma = 1e100: ||S_n||_p^p is near 1e200 at p = 2 and 1e300 at p = 3, and
+    # overflows at p = 4, where the norm form evaluates it; no numpy warning escapes
+    grid = uniform_grid(16)
+    spec = cltlab.FieldSpec(basis=cltlab.basis_matrix("const", 1, grid), driver=cltlab.IidNormal(sigma=1e100))
+    with pytest.raises(ValueError) as grid_path:
+        cltlab.lp_norms(np.full((1, 16), 1e100), 4.0, grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (2.0, 3.0):
+            assert np.all(np.isfinite(montecarlo.replicate_norms(spec, 16, p, grid, 100, seed=0)))
+        assert montecarlo.form_pays(1, grid.size, 4.0)
+        with pytest.raises(ValueError) as form:
+            montecarlo.replicate_norms(spec, 16, 4.0, grid, 100, seed=0)
+        assert str(form.value) == str(grid_path.value)
+        big = {"basis": {"name": "const", "k": 1}, "driver": {"iid_normal": {"sigma": 1e100, "k": 1}}}
+        for command, base in (("verify-bounds", dict(VB, s=4, v=8.0)), ("simulate", dict(SIM, p=4.0, s=4.0))):
+            assert run_config(tmp_path, command, dict(base, field=big)) == 2
+            assert_one_config_error(capsys)
 
 
 def test_sup_mode_is_an_unknown_key(tmp_path, capsys):

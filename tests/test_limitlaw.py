@@ -21,12 +21,11 @@ from cltlab import (
     uniform_grid,
 )
 from cltlab import montecarlo
-from cltlab.discretize import lp_norms
 from cltlab.fieldgen import Normal, long_run_covariance
 from cltlab.limitlaw import FACTOR_RTOL, LimitField
 from cltlab.rng import philox_key
 
-from conftest import assert_rel
+from conftest import assert_rel, one_row_norm
 
 
 def factor_residual(field, cov):
@@ -177,9 +176,9 @@ def test_factor_check_makes_no_grid_by_grid_product(monkeypatch):
 
 
 def one_limit_replication(field, p, grid, seed, rep):
-    """Replication rep's norm computed on its own: its normals from the one-replication block (rep, rep + 1), projected."""
+    """Replication rep's norm computed on its own: its normals from the one-replication block (rep, rep + 1), reduced by one_row_norm."""
     z = Normal(1.0).block(philox_key(seed), rep, rep + 1, field.factor.shape[1])
-    return lp_norms(montecarlo.project(z, np.ascontiguousarray(field.factor.T)), p, grid)[0]
+    return one_row_norm(np.ascontiguousarray(field.factor.T), p, grid)(z)
 
 
 @given(

@@ -28,15 +28,28 @@ from cltlab import (
     sample_limit_norms,
     summarize_norm_powers,
     uniform_grid,
+    verify_clt,
     write_norms_csv,
 )
+from cltlab import montecarlo
 from cltlab.discretize import lp_norms
 from cltlab.fieldgen import Normal, Rademacher
 from cltlab.limitlaw import LimitField
-from cltlab.montecarlo import BLOCK_WORDS, CHUNK, CI_Z, MIN_REPS, TILE, project, sn_coordinates
+from cltlab.montecarlo import (
+    BLOCK_WORDS,
+    CHUNK,
+    CI_Z,
+    MIN_REPS,
+    TILE,
+    NormForm,
+    form_pays,
+    norm_form,
+    project,
+    sn_coordinates,
+)
 from cltlab.rng import philox_key, words
 
-from conftest import assert_rel
+from conftest import assert_rel, one_row_norm
 
 
 def test_default_n_schedule():
@@ -114,11 +127,16 @@ DRIVERS = [IidNormal(sigma=2.0, k=3), IidRademacher(k=3), MaQ(weights=(1.0, 2.0,
 DRIVER_IDS = ["iid_normal", "iid_rademacher", "ma_q", "ar1"]
 
 
-def one_replication(spec, n, grid, seed, rep):
-    """Replication rep's row computed on its own: its k time sums from the one-replication block (rep, rep + 1), projected."""
+def one_coordinates(spec, n, seed, rep):
+    """Replication rep's (1 x k) coordinates computed on their own: its k time sums from the one-replication block (rep, rep + 1)."""
     law = spec.driver.time_sum_law(n, spec.scales(n))
     sums = law.block(philox_key(seed), rep, rep + 1, spec.n_components)[0] * law.sd
-    return project(sums[None, :] / math.sqrt(n), spec.basis)[0]
+    return sums[None, :] / math.sqrt(n)
+
+
+def one_replication(spec, n, grid, seed, rep):
+    """Replication rep's row computed on its own: its coordinates, projected."""
+    return project(one_coordinates(spec, n, seed, rep), spec.basis)[0]
 
 
 @pytest.mark.parametrize("scale_decay", [None, 0.5])
@@ -314,19 +332,21 @@ def test_engine_rows_are_one_replication_blocks(driver, scale_decay, n, seed, lo
     spec = FieldSpec(basis=basis_matrix("indicator", driver.k, grid), driver=driver, scale_decay=scale_decay)
     block = sn_rows(spec, n, grid, seed, lo, lo + size)
     norms = replicate_norms(spec, n, p, grid, reps, seed)
+    norm = one_row_norm(spec.basis, p, grid)
     for rep in list(range(lo, lo + size)) + [0, reps - 1]:
-        row = one_replication(spec, n, grid, seed, rep)
+        coords = one_coordinates(spec, n, seed, rep)
         if lo <= rep < lo + size:
-            assert np.array_equal(block[rep - lo], row)
+            assert np.array_equal(block[rep - lo], project(coords, spec.basis)[0])
         if rep < reps:
-            assert norms[rep] == lp_norms(row[None, :], p, grid)[0]
+            assert norms[rep] == norm(coords)
 
 
 def own_norms(law, rows, n, seed, reps, p, grid):
-    """Each replication's norm, its row projected and reduced on its own; law rows are
-    one-replication blocks (test_law_rows_are_one_replication_blocks), so one draw serves all."""
+    """Each replication's norm, computed on its own from its coordinates (one_row_norm); law rows
+    are one-replication blocks (test_law_rows_are_one_replication_blocks), so one draw serves all."""
     coords = law.block(philox_key(seed), 0, reps, rows.shape[0]) * law.sd / math.sqrt(n)
-    return [lp_norms(project(coords[r : r + 1], rows), p, grid)[0] for r in range(reps)]
+    norm = one_row_norm(rows, p, grid)
+    return [norm(coords[r : r + 1]) for r in range(reps)]
 
 
 @given(
@@ -350,6 +370,130 @@ def test_tiled_norms_are_one_replication_norms(driver, scale_decay, n, rank, see
     factor = np.random.default_rng(seed).standard_normal((grid.size, rank))
     limit_norms = sample_limit_norms(LimitField(factor), p, grid, reps, seed)
     assert limit_norms.tolist() == own_norms(Normal(1.0), np.ascontiguousarray(factor.T), 1, seed, reps, p, grid)
+
+
+U = 2.0**-53
+
+
+def form_bound(form, rows, z, grid):
+    """Largest |form - grid path| the rounding allows, per row of z (n x K).
+
+    With A = sum_t w_t (sum_k |z_k rows[k, t]|)^p: the form is within (T + 2p + g + 1) u A
+    of the exact value (NormForm's docstring), plus its dropped terms, at most
+    dropped max_k |z_k|^p; the grid path within (pK + g + 4) u A (K products and
+    sums per point, p K u through the power, a few ulps for pow and the weight, g
+    for the sum). The sum of the two, with a few u to spare for second-order terms.
+    """
+    k, g, p = rows.shape[0], grid.size, form.p
+    absolute = ((np.abs(z)[:, :, None] * np.abs(rows)[None, :, :]).sum(axis=1) ** p * grid.weights).sum(axis=1)
+    rounding = (len(form.coefs) + p * (k + 2) + 2 * g + 8) * U * absolute
+    return rounding + form.dropped * np.abs(z).max(axis=1) ** p
+
+
+def form_rows(name, k, grid, seed):
+    """(K x grid) rows of a field: a basis, a random factor's columns, or a random basis
+    whose rows nearly coincide, so that z = (1, -1, ...) cancels almost all of them."""
+    rng = np.random.default_rng(seed)
+    if name == "random":
+        return rng.standard_normal((k, grid.size))
+    if name == "cancelling":
+        base = rng.standard_normal(grid.size)
+        return base + 1e-9 * rng.standard_normal((k, grid.size))
+    return basis_matrix(name, k, grid)
+
+
+@pytest.mark.parametrize("p", [2, 4, 6])
+@pytest.mark.parametrize("name,k", [("const", 1), ("fourier", 5), ("indicator", 4), ("random", 4), ("cancelling", 3)])
+def test_form_matches_the_grid_path_within_its_bound(name, k, p):
+    grid = uniform_grid(256)
+    rows = form_rows(name, k, grid, seed=k + p)
+    form = norm_form(rows, p, grid)
+    assert form is not None
+    z = np.random.default_rng(p).standard_normal((600, k))
+    if name == "cancelling":
+        z[:300] = [1.0, -1.0, 0.0]
+    grid_path = lp_norms(project(z, rows), p, grid, root=False)
+    bound = form_bound(form, rows, z, grid)
+    assert np.all(np.abs(form(z) - grid_path) <= bound)
+    if name == "cancelling":
+        # S = 1e-9 (noise) while A is of order 2^p: the bound is relative to A and
+        # exceeds the value itself
+        assert np.all(grid_path[:300] < bound[:300])
+    if name in ("fourier", "indicator") and p == 2:
+        # orthogonal rows: only the K diagonal terms stay
+        assert sorted(map(tuple, form.terms.tolist())) == [(j, j) for j in range(k)]
+
+
+@given(
+    k=st.integers(1, 4),
+    g=st.integers(2, 80),
+    p=st.sampled_from([2, 4, 6]),
+    seed=st.integers(0, 2**32),
+    size=st.integers(1, 40),
+    scale=st.floats(-30.0, 30.0),
+)
+def test_form_rows_are_one_row_forms(k, g, p, seed, size, scale):
+    # any rows and coordinates: a row's value does not depend on the rows evaluated
+    # with it, and it stays within the rounding bound of the grid path
+    grid = uniform_grid(g)
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((k, g)) * rng.choice([0.0, 1.0], size=(k, g), p=[0.3, 0.7])
+    form = norm_form(rows, p, grid)
+    assert (form is not None) == form_pays(k, g, p)
+    if form is None:
+        return
+    z = rng.standard_normal((size, k)) * 10.0**scale
+    values = form(z)
+    for i in range(size):
+        assert form(z[i : i + 1])[0] == values[i]
+    grid_path = lp_norms(project(z, rows), p, grid, root=False)
+    assert np.all(values >= 0.0)
+    assert np.all(np.abs(values - grid_path) <= form_bound(form, rows, z, grid))
+
+
+def test_form_pays_reads_the_shapes_alone(monkeypatch):
+    # (K, g, p) -> comb(K + p - 1, p) p <= K g, at even p only
+    assert form_pays(1, 64, 2) and form_pays(3, 64, 2) and form_pays(16, 64, 2)
+    assert form_pays(1, 256, 4) and form_pays(3, 256, 4)
+    assert not form_pays(16, 64, 4) and not form_pays(16, 256, 4)
+    assert form_pays(16, 969, 4) and not form_pays(16, 968, 4)
+    assert not any(form_pays(3, 256, p) for p in (1, 3, 5, 2.5, 3.5, math.inf, math.nan))
+    assert form_pays(1, 64, 64) and not form_pays(1, 64, 66) and not form_pays(2, 10**6, 10**300)
+    # a refused shape builds no coefficient; a picked one builds one form per call
+    builds = []
+    original = NormForm.build.__func__
+
+    def counting(cls, rows, p, grid):
+        builds.append((rows.shape[0], grid.size, p))
+        return original(cls, rows, p, grid)
+
+    monkeypatch.setattr(NormForm, "build", classmethod(counting))
+    grid = uniform_grid(64)
+    for name, k, p in (("fourier", 16, 4.0), ("const", 1, 3.0), ("fourier", 16, 2.0), ("const", 1, 4.0)):
+        spec = FieldSpec(basis=basis_matrix(name, k, grid), driver=IidNormal(k=k))
+        replicate_norms(spec, 16, p, grid, 2 * CHUNK + 1, seed=0)
+        sample_limit_norms(LimitField(spec.basis.T.copy()), p, grid, 2 * CHUNK + 1, seed=0)
+    assert builds == [(16, 64, 2), (16, 64, 2), (1, 64, 4), (1, 64, 4)]
+
+
+def test_clt_statistics_equal_the_grid_paths(monkeypatch):
+    # the three benchmark fields at full size: norms move in their last bits, but the KS
+    # statistics depend only on the order of the norms, and that order is kept
+    grid = uniform_grid(64)
+    fields = [
+        FieldSpec(basis=basis_matrix("const", 1, grid), driver=IidNormal(sigma=1.0, k=1)),
+        FieldSpec(basis=basis_matrix("fourier", 3, grid), driver=IidRademacher(k=3)),
+        FieldSpec(basis=basis_matrix("fourier", 16, grid), driver=MaQ(weights=(1.0, 1.0), sigma=1.0, k=16)),
+    ]
+    assert all(form_pays(spec.n_components, grid.size, 2.0) for spec in fields)
+    summaries = [verify_clt(spec, (16, 1024), 2.0, grid, 2000, seed=7) for spec in fields]
+    monkeypatch.setattr(montecarlo, "form_pays", lambda k, g, p: False)
+    assert norm_form(fields[2].basis, 2.0, grid) is None
+    for spec, summary in zip(fields, summaries):
+        grid_path = verify_clt(spec, (16, 1024), 2.0, grid, 2000, seed=7)
+        assert [(v.ks_stat, v.p_value) for v in summary.verdicts] == [
+            (v.ks_stat, v.p_value) for v in grid_path.verdicts
+        ]
 
 
 def block_rows(law, k):
